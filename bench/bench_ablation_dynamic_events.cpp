@@ -8,11 +8,19 @@
 
 #include <cstdio>
 
+#include "harness/cli.hpp"
 #include "harness/harness.hpp"
 
 int
-main()
+main(int argc, char **argv)
 {
+    raw::cli::Args args(
+        "bench_ablation_dynamic_events",
+        "usage: bench_ablation_dynamic_events\n"
+        "  prints the dynamic-events ablation; takes no flags\n",
+        argc, argv);
+    while (args.next())
+        args.unknown();
     using namespace raw;
     std::printf("Static ordering under dynamic events (16 tiles)\n");
     std::printf("%-14s %-10s %-10s %-10s %-10s\n", "Benchmark",

@@ -10,11 +10,19 @@
 
 #include <cstdio>
 
+#include "harness/cli.hpp"
 #include "harness/harness.hpp"
 
 int
-main()
+main(int argc, char **argv)
 {
+    raw::cli::Args args(
+        "bench_ablation_homes",
+        "usage: bench_ablation_homes\n"
+        "  prints the scalar-home ablation; takes no flags\n",
+        argc, argv);
+    while (args.next())
+        args.unknown();
     using namespace raw;
     std::printf("Ablation: scalar home assignment (16 tiles), "
                 "cycles\n");

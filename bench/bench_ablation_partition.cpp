@@ -9,6 +9,7 @@
 
 #include <cstdio>
 
+#include "harness/cli.hpp"
 #include "harness/harness.hpp"
 
 namespace {
@@ -31,8 +32,15 @@ cycles_with(const BenchmarkProgram &prog, int n, ClusterMode cm,
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    raw::cli::Args args(
+        "bench_ablation_partition",
+        "usage: bench_ablation_partition\n"
+        "  prints the partitioner ablation; takes no flags\n",
+        argc, argv);
+    while (args.next())
+        args.unknown();
     std::printf("Ablation: partitioner (16 tiles), cycles\n");
     std::printf("%-14s %-12s %-12s %-12s %-12s\n", "Benchmark",
                 "DSC+greedy", "unit+greedy", "DSC+arbitrary",

@@ -444,6 +444,10 @@ write_json(const std::string &path, const Measurements &m,
     std::printf("wrote %s\n", path.c_str());
 }
 
+const char kUsage[] =
+    "usage: bench_ablation_priority [--smoke] [--jobs N] "
+    "[--json-out PATH]\n";
+
 } // namespace
 
 int
@@ -452,16 +456,18 @@ main(int argc, char **argv)
     bool smoke = false;
     std::string json_out = "BENCH_schedquality.json";
     int jobs = 0;
-    for (int i = 1; i < argc; i++) {
-        if (std::strcmp(argv[i], "--smoke") == 0)
+    raw::cli::Args args("bench_ablation_priority", kUsage, argc, argv);
+    while (args.next()) {
+        if (args.is("--smoke"))
             smoke = true;
-        else if (std::strcmp(argv[i], "--json-out") == 0 &&
-                 i + 1 < argc)
-            json_out = argv[++i];
-        else if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc)
+        else if (args.is("--json-out"))
+            json_out = args.value();
+        else if (args.is("--jobs"))
             jobs = static_cast<int>(raw::cli::parse_long_in(
-                "bench_ablation", argv[++i], "--jobs", 0, 1024,
-                "a worker count in [0, 1024]"));
+                "bench_ablation_priority", args.value(), "--jobs", 0,
+                1024, "a worker count in [0, 1024]"));
+        else
+            args.unknown();
     }
     jobs = resolve_jobs(jobs);
 

@@ -8,6 +8,7 @@
 
 #include <cstdio>
 
+#include "harness/cli.hpp"
 #include "harness/harness.hpp"
 
 namespace {
@@ -17,8 +18,15 @@ using namespace raw;
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    raw::cli::Args args(
+        "bench_ablation_unroll",
+        "usage: bench_ablation_unroll\n"
+        "  prints the loop-unrolling ablation; takes no flags\n",
+        argc, argv);
+    while (args.next())
+        args.unknown();
     std::printf("Ablation: loop unrolling / staticization (8 tiles)\n");
     std::printf("%-14s %-16s %-16s %-16s %-10s %-10s\n", "Benchmark",
                 "cycles(unroll)", "cycles(+modulo)", "cycles(none)",

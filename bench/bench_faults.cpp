@@ -39,6 +39,11 @@ struct SweepSpec
     int points = 0;
 };
 
+const char kUsage[] =
+    "usage: bench_faults [--smoke] [--scaling] [--bench NAME] "
+    "[--points N] [--tiles N]\n"
+    "                    [--jobs N] [--seed N] [--json-out PATH]\n";
+
 } // namespace
 
 int
@@ -52,33 +57,32 @@ main(int argc, char **argv)
     int points = 16;
     int jobs = 0;
     uint64_t seed = 1;
-    for (int i = 1; i < argc; i++) {
-        if (std::strcmp(argv[i], "--json-out") == 0 && i + 1 < argc)
-            json_out = argv[++i];
-        else if (std::strcmp(argv[i], "--bench") == 0 && i + 1 < argc)
-            only_bench = argv[++i];
-        else if (std::strcmp(argv[i], "--points") == 0 && i + 1 < argc)
+    raw::cli::Args args("bench_faults", kUsage, argc, argv);
+    while (args.next()) {
+        if (args.is("--json-out"))
+            json_out = args.value();
+        else if (args.is("--bench"))
+            only_bench = args.value();
+        else if (args.is("--points"))
             points = static_cast<int>(raw::cli::parse_long_in(
-                "bench_faults", argv[++i], "--points", 1, 4096,
+                "bench_faults", args.value(), "--points", 1, 4096,
                 "a point count in [1, 4096]"));
-        else if (std::strcmp(argv[i], "--tiles") == 0 && i + 1 < argc)
+        else if (args.is("--tiles"))
             tiles = static_cast<int>(raw::cli::parse_tiles(
-                "bench_faults", argv[++i], "--tiles"));
-        else if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc)
+                "bench_faults", args.value(), "--tiles"));
+        else if (args.is("--jobs"))
             jobs = static_cast<int>(raw::cli::parse_long_in(
-                "bench_faults", argv[++i], "--jobs", 0, 1024,
+                "bench_faults", args.value(), "--jobs", 0, 1024,
                 "a worker count in [0, 1024]"));
-        else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc)
-            seed = raw::cli::parse_u64("bench_faults", argv[++i],
+        else if (args.is("--seed"))
+            seed = raw::cli::parse_u64("bench_faults", args.value(),
                                        "--seed");
-        else if (std::strcmp(argv[i], "--smoke") == 0)
+        else if (args.is("--smoke"))
             smoke = true;
-        else if (std::strcmp(argv[i], "--scaling") == 0)
+        else if (args.is("--scaling"))
             scaling = true;
-        else {
-            std::fprintf(stderr, "unknown flag %s\n", argv[i]);
-            return 2;
-        }
+        else
+            args.unknown();
     }
 
     std::vector<SweepSpec> sweeps;

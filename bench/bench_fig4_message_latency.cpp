@@ -12,6 +12,7 @@
 
 #include <cstdio>
 
+#include "harness/cli.hpp"
 #include "sim/simulator.hpp"
 
 namespace {
@@ -87,8 +88,15 @@ run_cycles(const CompiledProgram &cp)
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    raw::cli::Args args(
+        "bench_fig4_message_latency",
+        "usage: bench_fig4_message_latency\n"
+        "  prints the Figure 4 message-latency check; takes no flags\n",
+        argc, argv);
+    while (args.next())
+        args.unknown();
     // Neighbor message: the paper's four-cycle diagram.
     MachineConfig m2 = MachineConfig::base(2);
     int64_t neighbor = run_cycles(figure4_program(m2, 1));

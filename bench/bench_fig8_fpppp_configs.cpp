@@ -17,6 +17,7 @@
 #include <cstdio>
 #include <functional>
 
+#include "harness/cli.hpp"
 #include "harness/harness.hpp"
 
 namespace {
@@ -52,8 +53,15 @@ run_config(const char *name, const ConfigFn &cfg,
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    raw::cli::Args args(
+        "bench_fig8_fpppp_configs",
+        "usage: bench_fig8_fpppp_configs\n"
+        "  prints Figure 8 (fpppp-kernel configurations); takes no flags\n",
+        argc, argv);
+    while (args.next())
+        args.unknown();
     const std::string &src = benchmark("fpppp-kernel").source;
     std::printf("Figure 8: fpppp-kernel speedup under machine "
                 "configurations\n");

@@ -233,6 +233,10 @@ scenario_json(const char *name, const LoadResult &r, double secs,
     return b.str();
 }
 
+const char kUsage[] =
+    "usage: bench_serve [--smoke] [--clients N] [--requests N] "
+    "[--bin PATH] [--json-out PATH]\n";
+
 } // namespace
 
 int
@@ -243,27 +247,24 @@ main(int argc, char **argv)
     bool smoke = false;
     int clients = 8;
     int requests = 40;
-    for (int i = 1; i < argc; i++) {
-        if (std::strcmp(argv[i], "--json-out") == 0 && i + 1 < argc)
-            json_out = argv[++i];
-        else if (std::strcmp(argv[i], "--bin") == 0 && i + 1 < argc)
-            bin = argv[++i];
-        else if (std::strcmp(argv[i], "--clients") == 0 &&
-                 i + 1 < argc)
+    raw::cli::Args args("bench_serve", kUsage, argc, argv);
+    while (args.next()) {
+        if (args.is("--json-out"))
+            json_out = args.value();
+        else if (args.is("--bin"))
+            bin = args.value();
+        else if (args.is("--clients"))
             clients = static_cast<int>(raw::cli::parse_long_in(
-                "bench_serve", argv[++i], "--clients", 1, 256,
+                "bench_serve", args.value(), "--clients", 1, 256,
                 "a count in [1, 256]"));
-        else if (std::strcmp(argv[i], "--requests") == 0 &&
-                 i + 1 < argc)
+        else if (args.is("--requests"))
             requests = static_cast<int>(raw::cli::parse_long_in(
-                "bench_serve", argv[++i], "--requests", 1, 100000,
+                "bench_serve", args.value(), "--requests", 1, 100000,
                 "a count in [1, 100000]"));
-        else if (std::strcmp(argv[i], "--smoke") == 0)
+        else if (args.is("--smoke"))
             smoke = true;
-        else {
-            std::fprintf(stderr, "unknown flag %s\n", argv[i]);
-            return 2;
-        }
+        else
+            args.unknown();
     }
     if (smoke) {
         clients = 4;

@@ -14,6 +14,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include "harness/cli.hpp"
 #include "ir/builder.hpp"
 #include "rawcc/compiler.hpp"
 #include "sim/simulator.hpp"
@@ -80,6 +81,13 @@ const Row kRows[] = {
 int
 main(int argc, char **argv)
 {
+    raw::cli::Args args(
+        "bench_table1_latencies",
+        "usage: bench_table1_latencies\n"
+        "  prints Table 1 (operation latencies); takes no flags\n",
+        argc, argv);
+    while (args.next())
+        args.unknown();
     std::printf("Table 1: Latency of common operations\n");
     std::printf("%-6s  %-10s  %-10s\n", "Op", "Measured", "Paper");
     bool all_ok = true;
@@ -91,7 +99,5 @@ main(int argc, char **argv)
     }
     std::printf("%s\n", all_ok ? "All latencies match Table 1."
                                : "LATENCY MISMATCH DETECTED");
-    (void)argc;
-    (void)argv;
     return all_ok ? 0 : 1;
 }

@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <sstream>
 
+#include "harness/cli.hpp"
 #include "harness/harness.hpp"
 
 namespace {
@@ -52,8 +53,15 @@ array_size(const std::string &name)
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    raw::cli::Args args(
+        "bench_table2_characteristics",
+        "usage: bench_table2_characteristics\n"
+        "  prints Table 2 (benchmark characteristics); takes no flags\n",
+        argc, argv);
+    while (args.next())
+        args.unknown();
     std::printf("Table 2: Benchmark characteristics\n");
     std::printf("%-14s %-8s %-12s %-12s %-22s\n", "Benchmark", "Lines",
                 "Array size", "Seq. RT", "Description");

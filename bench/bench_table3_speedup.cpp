@@ -200,6 +200,10 @@ bm_compile_and_run(benchmark::State &state, const std::string &name,
     }
 }
 
+const char kUsage[] =
+    "usage: bench_table3_speedup [--jobs N] [--json-out PATH] "
+    "[--gbench [--benchmark_*...]]\n";
+
 } // namespace
 
 int
@@ -208,17 +212,19 @@ main(int argc, char **argv)
     bool gbench = false;
     std::string json_out = "BENCH_table3.json";
     int jobs = 1;
-    for (int i = 1; i < argc; i++) {
-        if (std::strcmp(argv[i], "--gbench") == 0)
+    raw::cli::Args args("bench_table3_speedup", kUsage, argc, argv);
+    while (args.next()) {
+        if (args.is("--gbench"))
             gbench = true;
-        else if (std::strcmp(argv[i], "--json-out") == 0 &&
-                 i + 1 < argc)
-            json_out = argv[++i];
-        else if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc)
+        else if (args.is("--json-out"))
+            json_out = args.value();
+        else if (args.is("--jobs"))
             jobs = raw::resolve_jobs(static_cast<int>(
-                raw::cli::parse_long_in("bench_table3", argv[++i],
-                                        "--jobs", 0, 1024,
+                raw::cli::parse_long_in("bench_table3_speedup",
+                                        args.value(), "--jobs", 0, 1024,
                                         "a worker count in [0, 1024]")));
+        else if (std::strncmp(args.flag(), "--benchmark_", 12) != 0)
+            args.unknown(); // --benchmark_* go to google-benchmark
     }
 
     std::printf("Table 3: Benchmark Speedup (RAWCC vs. sequential "

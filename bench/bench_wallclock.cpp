@@ -479,6 +479,12 @@ write_json(const std::string &path, const std::vector<RunTiming> &runs,
     std::printf("wrote %s\n", path.c_str());
 }
 
+const char kUsage[] =
+    "usage: bench_wallclock [--jobs N] [--sim-backend "
+    "reference|threaded|region|both]\n"
+    "                       [--tiny] [--pgo-sweep] [--scaling] "
+    "[--json-out PATH]\n";
+
 } // namespace
 
 int
@@ -490,17 +496,17 @@ main(int argc, char **argv)
     bool pgo_sweep = false;
     bool scaling = false;
     BackendMode mode = BackendMode::kReference;
-    for (int i = 1; i < argc; i++) {
-        if (std::strcmp(argv[i], "--json-out") == 0 && i + 1 < argc)
-            json_out = argv[++i];
-        else if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc)
+    raw::cli::Args args("bench_wallclock", kUsage, argc, argv);
+    while (args.next()) {
+        if (args.is("--json-out"))
+            json_out = args.value();
+        else if (args.is("--jobs"))
             jobs = raw::resolve_jobs(static_cast<int>(
-                raw::cli::parse_long_in("bench_wallclock", argv[++i],
+                raw::cli::parse_long_in("bench_wallclock", args.value(),
                                         "--jobs", 0, 4096,
                                         "a worker count in 0..4096")));
-        else if (std::strcmp(argv[i], "--sim-backend") == 0 &&
-                 i + 1 < argc) {
-            std::string b = argv[++i];
+        else if (args.is("--sim-backend")) {
+            std::string b = args.value();
             if (b == "reference")
                 mode = BackendMode::kReference;
             else if (b == "threaded")
@@ -511,15 +517,17 @@ main(int argc, char **argv)
                 mode = BackendMode::kBoth;
             else
                 raw::cli::bad_value("bench_wallclock", "--sim-backend",
-                                    argv[i],
+                                    b.c_str(),
                                     "reference, threaded, region or "
                                     "both");
-        } else if (std::strcmp(argv[i], "--tiny") == 0)
+        } else if (args.is("--tiny"))
             tiny = true;
-        else if (std::strcmp(argv[i], "--pgo-sweep") == 0)
+        else if (args.is("--pgo-sweep"))
             pgo_sweep = true;
-        else if (std::strcmp(argv[i], "--scaling") == 0)
+        else if (args.is("--scaling"))
             scaling = true;
+        else
+            args.unknown();
     }
 
     std::vector<std::pair<const raw::BenchmarkProgram *, int>> points;

@@ -93,6 +93,78 @@ parse_tiles(const char *tool, const char *s, const char *flag)
     return v;
 }
 
+/**
+ * Flag cursor for the bench drivers.  A driver matches every flag it
+ * knows explicitly and hands anything else to unknown():
+ *
+ *     raw::cli::Args args("bench_x", kUsage, argc, argv);
+ *     while (args.next()) {
+ *         if (args.is("--json-out"))
+ *             json_out = args.value();
+ *         else if (args.is("--smoke"))
+ *             smoke = true;
+ *         else
+ *             args.unknown();
+ *     }
+ *
+ * `--help` / `-h` prints the usage text to stdout and exits 0 before
+ * the driver runs anything or writes a file.  An unknown flag, or a
+ * flag whose value is missing, exits 2 with a message naming it.
+ */
+class Args
+{
+  public:
+    Args(const char *tool, const char *usage, int argc, char **argv)
+        : tool_(tool), usage_(usage), argc_(argc), argv_(argv)
+    {
+    }
+
+    /** Step to the next argv word; false once argv is exhausted. */
+    bool next()
+    {
+        if (++i_ >= argc_)
+            return false;
+        if (is("--help") || is("-h")) {
+            std::fputs(usage_, stdout);
+            std::exit(0);
+        }
+        return true;
+    }
+
+    /** The current argv word. */
+    const char *flag() const { return argv_[i_]; }
+
+    bool is(const char *name) const
+    {
+        return std::strcmp(argv_[i_], name) == 0;
+    }
+
+    /** Consume and return the current flag's value. */
+    const char *value()
+    {
+        if (i_ + 1 >= argc_) {
+            std::fprintf(stderr, "%s: %s expects a value\n%s", tool_,
+                         argv_[i_], usage_);
+            std::exit(2);
+        }
+        return argv_[++i_];
+    }
+
+    [[noreturn]] void unknown() const
+    {
+        std::fprintf(stderr, "%s: unknown flag '%s'\n%s", tool_,
+                     argv_[i_], usage_);
+        std::exit(2);
+    }
+
+  private:
+    const char *tool_;
+    const char *usage_;
+    int argc_;
+    char **argv_;
+    int i_ = 0;
+};
+
 } // namespace cli
 } // namespace raw
 

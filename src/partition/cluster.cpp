@@ -1,6 +1,7 @@
 #include "partition/partition.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <queue>
 
 #include "support/error.hpp"
@@ -102,6 +103,12 @@ cluster_taskgraph(const TaskGraph &g, const MachineConfig &machine,
             ready.push({blevel[i], i});
     }
 
+    // Per-visit scratch, indexed by cluster id and stamped with the
+    // visited node so it never needs clearing: the latest finish
+    // among v's preds in each cluster.
+    std::vector<int64_t> in_max;
+    std::vector<int> in_stamp;
+
     int visited = 0;
     while (!ready.empty()) {
         int v = ready.top().second;
@@ -109,10 +116,42 @@ cluster_taskgraph(const TaskGraph &g, const MachineConfig &machine,
         visited++;
         const TGNode &nd = g.nodes()[v];
 
+        // One pass over the preds: each pred cluster's latest finish,
+        // and the two clusters with the latest finishes overall.
+        // Start time if v joins pred cluster pc is then
+        //   max(cluster_free[pc], in_max[pc], other + comm)
+        // where `other` is the latest finish outside pc: top1 unless
+        // pc is top1's cluster, else top2.  O(deg) per node instead
+        // of a preds x preds rescan.
+        in_max.resize(cluster_pin.size(), 0);
+        in_stamp.resize(cluster_pin.size(), -1);
+        for (int p : g.preds(v)) {
+            int pc = c.cluster_of[p];
+            if (in_stamp[pc] != v) {
+                in_stamp[pc] = v;
+                in_max[pc] = finish[p];
+            } else {
+                in_max[pc] = std::max(in_max[pc], finish[p]);
+            }
+        }
+        constexpr int64_t kNone = INT64_MIN;
+        int top1_cluster = -1;
+        int64_t top1 = kNone, top2 = kNone;
+        for (int p : g.preds(v)) {
+            int pc = c.cluster_of[p];
+            if (pc == top1_cluster)
+                continue;
+            if (in_max[pc] > top1) {
+                top2 = top1;
+                top1 = in_max[pc];
+                top1_cluster = pc;
+            } else if (in_max[pc] > top2) {
+                top2 = in_max[pc];
+            }
+        }
+
         // Start time if v opens its own cluster.
-        int64_t t_alone = 0;
-        for (int p : g.preds(v))
-            t_alone = std::max(t_alone, finish[p] + comm);
+        int64_t t_alone = top1 == kNone ? 0 : top1 + comm;
 
         int best_cluster = -1;
         int64_t best_t = t_alone;
@@ -122,12 +161,10 @@ cluster_taskgraph(const TaskGraph &g, const MachineConfig &machine,
             if (nd.pin >= 0 && cluster_pin[pc] >= 0 &&
                 cluster_pin[pc] != nd.pin)
                 continue;
-            int64_t t = cluster_free[pc];
-            for (int q : g.preds(v)) {
-                int64_t arrive =
-                    finish[q] + (c.cluster_of[q] == pc ? 0 : comm);
-                t = std::max(t, arrive);
-            }
+            int64_t other = pc == top1_cluster ? top2 : top1;
+            int64_t t = std::max(cluster_free[pc], in_max[pc]);
+            if (other != kNone)
+                t = std::max(t, other + comm);
             if (t < best_t || (t == best_t && best_cluster < 0 &&
                                t < t_alone)) {
                 best_t = t;

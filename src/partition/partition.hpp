@@ -116,25 +116,68 @@ struct Partition
 };
 
 /**
- * Total hop-weighted communication cost of mapping partitions onto
- * tiles: sum over partition pairs of traffic × mesh distance.
- * @p w is the symmetric partition-to-partition word-traffic matrix.
+ * Cost model of the placement swap search.
+ *
+ * The search only moves partitions between tiles; the symmetric
+ * partition-to-partition word-traffic matrix @p w stays fixed.  So
+ * the matrix is stored once per block as sparse rows of (partition,
+ * words) pairs with their row sums, and each tile's mesh row and
+ * column is tabulated.  A swap is then evaluated in O(deg_i + deg_j)
+ * over the two partitions' nonzero traffic instead of O(n) over every
+ * partition: at large meshes most rows are empty, and most candidate
+ * swaps exchange no traffic at all.
+ *
+ * Without feedback the cost is the sum over partition pairs of
+ * traffic x mesh distance.  With PGO feedback each word pays
+ * kPlaceDistUnit per hop plus the comm penalty of both endpoint
+ * tiles, and each partition's compute cost / kPlacePenaltyMax pays
+ * its tile's proc penalty.  Deltas are exact integers, so the search
+ * accepts the same swaps as one built on full recomputes.
  */
-int64_t placement_assignment_cost(
-    const std::vector<std::vector<int>> &w,
-    const std::vector<int> &tile_of_partition,
-    const MachineConfig &machine);
+class PlacementCost
+{
+  public:
+    /** @p part_cost is the compute per partition (feedback only). */
+    PlacementCost(const std::vector<std::vector<int>> &w,
+                  const MachineConfig &machine,
+                  const PlacementFeedback &feedback = {},
+                  const std::vector<int64_t> &part_cost = {});
 
-/**
- * Cost change from swapping the tiles of partitions @p i and @p j,
- * in O(n) instead of the O(n²) full recompute: only terms involving
- * i or j change, and the w[i][j] term is invariant because mesh
- * distance is symmetric.
- */
-int64_t placement_swap_delta(
-    const std::vector<std::vector<int>> &w,
-    const std::vector<int> &tile_of_partition,
-    const MachineConfig &machine, int i, int j);
+    /** Full cost of mapping partition p onto tile_of_partition[p]. */
+    int64_t total(const std::vector<int> &tile_of_partition) const;
+
+    /**
+     * Cost change from swapping the tiles of partitions @p i and
+     * @p j.  Only terms touching i or j change, and the w[i][j] term
+     * is invariant because mesh distance is symmetric.
+     */
+    int64_t swap_delta(const std::vector<int> &tile_of_partition, int i,
+                       int j) const;
+
+  private:
+    struct Entry
+    {
+        int part;
+        int words;
+    };
+
+    int distance(int a, int b) const
+    {
+        int dr = tile_row_[a] - tile_row_[b];
+        int dc = tile_col_[a] - tile_col_[b];
+        return (dr < 0 ? -dr : dr) + (dc < 0 ? -dc : dc);
+    }
+
+    /** CSR rows of w without the diagonal: row p is
+     *  entries_[row_start_[p] .. row_start_[p + 1]). */
+    std::vector<int> row_start_;
+    std::vector<Entry> entries_;
+    std::vector<int64_t> row_sum_;
+    std::vector<int> tile_row_, tile_col_;
+    bool use_fb_ = false;
+    /** Feedback only: per-tile penalties and scaled compute. */
+    std::vector<int64_t> pen_comm_, pen_proc_, comp_;
+};
 
 /** Phase 1: cluster @p g (uniform-latency model). */
 Clustering cluster_taskgraph(const TaskGraph &g,

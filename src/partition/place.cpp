@@ -114,44 +114,113 @@ critical_traffic_matrix(const TaskGraph &g, const Clustering &merged,
 
 } // namespace
 
-int64_t
-placement_assignment_cost(const std::vector<std::vector<int>> &w,
-                          const std::vector<int> &tile_of_partition,
-                          const MachineConfig &machine)
+PlacementCost::PlacementCost(const std::vector<std::vector<int>> &w,
+                             const MachineConfig &machine,
+                             const PlacementFeedback &feedback,
+                             const std::vector<int64_t> &part_cost)
 {
+    const int n = static_cast<int>(w.size());
+    row_start_.assign(n + 1, 0);
+    row_sum_.assign(n, 0);
+    for (int a = 0; a < n; a++) {
+        for (int b = 0; b < n; b++)
+            if (b != a && w[a][b]) {
+                entries_.push_back({b, w[a][b]});
+                row_sum_[a] += w[a][b];
+            }
+        row_start_[a + 1] = static_cast<int>(entries_.size());
+    }
+    tile_row_.resize(machine.n_tiles);
+    tile_col_.resize(machine.n_tiles);
+    for (int t = 0; t < machine.n_tiles; t++) {
+        tile_row_[t] = machine.row_of(t);
+        tile_col_[t] = machine.col_of(t);
+    }
+
+    // Without feedback the pure-distance cost runs unchanged, so a
+    // non-PGO build is bit-identical.  Penalties past the end of the
+    // profiled vectors are 0; compute is pre-scaled per partition to
+    // keep the swap delta linear (integer division inside the delta
+    // would not be).
+    use_fb_ = !feedback.empty();
+    if (!use_fb_)
+        return;
+    auto padded = [&](const std::vector<int64_t> &pen) {
+        std::vector<int64_t> out(machine.n_tiles, 0);
+        for (int t = 0; t < machine.n_tiles &&
+                        t < static_cast<int>(pen.size());
+             t++)
+            out[t] = pen[t];
+        return out;
+    };
+    pen_comm_ = padded(feedback.comm_penalty);
+    pen_proc_ = padded(feedback.proc_penalty);
+    comp_.assign(n, 0);
+    for (int p = 0; p < n && p < static_cast<int>(part_cost.size());
+         p++)
+        comp_[p] = part_cost[p] / kPlacePenaltyMax;
+}
+
+int64_t
+PlacementCost::total(const std::vector<int> &tile_of_partition) const
+{
+    const int n = static_cast<int>(row_sum_.size());
     int64_t cost = 0;
-    const int n = static_cast<int>(tile_of_partition.size());
-    for (int a = 0; a < n; a++)
-        for (int b = a + 1; b < n; b++)
-            cost += static_cast<int64_t>(w[a][b]) *
-                    machine.distance(tile_of_partition[a],
-                                     tile_of_partition[b]);
+    for (int a = 0; a < n; a++) {
+        const int ta = tile_of_partition[a];
+        for (int e = row_start_[a]; e < row_start_[a + 1]; e++) {
+            const Entry &en = entries_[e];
+            if (en.part <= a)
+                continue;
+            const int tb = tile_of_partition[en.part];
+            int64_t per_word = distance(ta, tb);
+            if (use_fb_)
+                per_word = kPlaceDistUnit * per_word + pen_comm_[ta] +
+                           pen_comm_[tb];
+            cost += en.words * per_word;
+        }
+        if (use_fb_)
+            cost += comp_[a] * pen_proc_[ta];
+    }
     return cost;
 }
 
 int64_t
-placement_swap_delta(const std::vector<std::vector<int>> &w,
-                     const std::vector<int> &tile_of_partition,
-                     const MachineConfig &machine, int i, int j)
+PlacementCost::swap_delta(const std::vector<int> &tile_of_partition,
+                          int i, int j) const
 {
-    const int n = static_cast<int>(tile_of_partition.size());
     const int ti = tile_of_partition[i];
     const int tj = tile_of_partition[j];
     int64_t delta = 0;
-    for (int k = 0; k < n; k++) {
-        if (k == i || k == j)
+    int64_t w_ij = 0;
+    for (int e = row_start_[i]; e < row_start_[i + 1]; e++) {
+        const Entry &en = entries_[e];
+        if (en.part == j) {
+            w_ij = en.words;
             continue;
-        const int tk = tile_of_partition[k];
-        if (w[i][k])
-            delta += static_cast<int64_t>(w[i][k]) *
-                     (machine.distance(tj, tk) -
-                      machine.distance(ti, tk));
-        if (w[j][k])
-            delta += static_cast<int64_t>(w[j][k]) *
-                     (machine.distance(ti, tk) -
-                      machine.distance(tj, tk));
+        }
+        const int tk = tile_of_partition[en.part];
+        delta += static_cast<int64_t>(en.words) *
+                 (distance(tj, tk) - distance(ti, tk));
     }
-    return delta;
+    for (int e = row_start_[j]; e < row_start_[j + 1]; e++) {
+        const Entry &en = entries_[e];
+        if (en.part == i)
+            continue;
+        const int tk = tile_of_partition[en.part];
+        delta += static_cast<int64_t>(en.words) *
+                 (distance(ti, tk) - distance(tj, tk));
+    }
+    if (!use_fb_)
+        return delta;
+    // Penalty terms: the (i,j) pair's penalty sum is symmetric and
+    // cancels, every other pair touching i or j swaps one endpoint's
+    // penalty.
+    const int64_t wi = row_sum_[i] - w_ij;
+    const int64_t wj = row_sum_[j] - w_ij;
+    return kPlaceDistUnit * delta +
+           (pen_comm_[tj] - pen_comm_[ti]) * (wi - wj) +
+           (pen_proc_[tj] - pen_proc_[ti]) * (comp_[i] - comp_[j]);
 }
 
 Partition
@@ -191,81 +260,23 @@ place_partitions(const TaskGraph &g, const Clustering &merged,
                                       opts.crit_weight)
             : traffic_matrix(g, merged, n_tiles);
 
-    // Profile-guided placement: fold per-tile congestion penalties
-    // into the cost model.  Without feedback the original pure-
-    // distance functions run unchanged (identical costs, identical
-    // anneal accept stream), so a non-PGO build is bit-identical.
-    const PlacementFeedback &fb = opts.feedback;
-    const bool use_fb = !fb.empty();
-    auto pen_c = [&](int t) -> int64_t {
-        return t < static_cast<int>(fb.comm_penalty.size())
-                   ? fb.comm_penalty[t]
-                   : 0;
-    };
-    auto pen_p = [&](int t) -> int64_t {
-        return t < static_cast<int>(fb.proc_penalty.size())
-                   ? fb.proc_penalty[t]
-                   : 0;
-    };
-    // Pre-scaled per-partition compute weight keeps the swap delta
-    // linear (integer division inside the delta would not be).
-    std::vector<int64_t> comp(n_tiles, 0);
-    if (use_fb)
-        for (int p = 0; p < n_tiles; p++)
-            comp[p] = merged.cost_of[p] / kPlacePenaltyMax;
-
-    auto fb_cost = [&]() {
-        int64_t cost = 0;
-        for (int a = 0; a < n_tiles; a++) {
-            const int ta = tile_of_partition[a];
-            for (int b = a + 1; b < n_tiles; b++) {
-                const int tb = tile_of_partition[b];
-                if (w[a][b])
-                    cost += static_cast<int64_t>(w[a][b]) *
-                            (kPlaceDistUnit *
-                                 machine.distance(ta, tb) +
-                             pen_c(ta) + pen_c(tb));
-            }
-            cost += comp[a] * pen_p(ta);
-        }
-        return cost;
-    };
+    // Profile-guided placement folds per-tile congestion penalties
+    // into the cost model (see PlacementCost).
+    const bool use_fb = !opts.feedback.empty();
+    const PlacementCost cost(w, machine, opts.feedback, merged.cost_of);
 
     int64_t swaps_evaluated = 0;
-    // Candidate swaps are evaluated by the O(n) delta, not the O(n²)
-    // full recompute; `cur` is carried incrementally.  Accept
-    // decisions are on exact integer deltas, so the optimized loops
-    // pick the same placements as the full-recompute versions.
+    // Candidate swaps are evaluated by the sparse delta, not a full
+    // recompute; `cur` is carried incrementally.  Accept decisions
+    // are on exact integer deltas, so the loops pick the same
+    // placements as full-recompute versions would.
     auto delta_of = [&](int pi, int pj) {
         swaps_evaluated++;
-        int64_t d = placement_swap_delta(w, tile_of_partition,
-                                         machine, pi, pj);
-        if (use_fb) {
-            // Penalty terms of the swap, still O(n): the (pi,pj)
-            // pair's penalty sum is symmetric and cancels, every
-            // other pair swaps one endpoint's penalty.
-            const int ti = tile_of_partition[pi];
-            const int tj = tile_of_partition[pj];
-            int64_t wi = 0, wj = 0;
-            for (int k = 0; k < n_tiles; k++) {
-                if (k == pi || k == pj)
-                    continue;
-                wi += w[pi][k];
-                wj += w[pj][k];
-            }
-            d = kPlaceDistUnit * d +
-                (pen_c(tj) - pen_c(ti)) * (wi - wj) +
-                (pen_p(tj) - pen_p(ti)) * (comp[pi] - comp[pj]);
-        }
+        int64_t d = cost.swap_delta(tile_of_partition, pi, pj);
 #ifndef NDEBUG
-        auto full = [&]() {
-            return use_fb ? fb_cost()
-                          : placement_assignment_cost(
-                                w, tile_of_partition, machine);
-        };
-        int64_t pre = full();
+        int64_t pre = cost.total(tile_of_partition);
         std::swap(tile_of_partition[pi], tile_of_partition[pj]);
-        int64_t post = full();
+        int64_t post = cost.total(tile_of_partition);
         std::swap(tile_of_partition[pi], tile_of_partition[pj]);
         check(post - pre == d,
               "placement: swap delta disagrees with full recompute");
@@ -275,10 +286,7 @@ place_partitions(const TaskGraph &g, const Clustering &merged,
 
     if (opts.place_mode != PlaceMode::kArbitrary &&
         movable.size() > 1) {
-        int64_t cur =
-            use_fb ? fb_cost()
-                   : placement_assignment_cost(w, tile_of_partition,
-                                               machine);
+        int64_t cur = cost.total(tile_of_partition);
         if (opts.place_mode == PlaceMode::kGreedySwap) {
             bool improved = true;
             while (improved) {

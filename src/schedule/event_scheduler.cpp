@@ -19,7 +19,7 @@ using sched::build_deps;
 using sched::compute_priorities;
 using sched::DepInfo;
 using sched::Priorities;
-using sched::SwRes;
+using sched::SwitchTable;
 using sched::topo_order;
 
 /** One list-scheduling pass plus the timing it realized. */
@@ -62,11 +62,13 @@ run_pass(const TaskGraph &g, const Partition &part,
     res.arrival.assign(np, {});
 
     std::vector<std::vector<bool>> proc_busy(m.n_tiles);
-    std::vector<std::map<int64_t, SwRes>> sw_res(m.n_tiles);
+    SwitchTable sw_res(m.n_tiles);
 
-    auto proc_free = [&](int tile, int64_t t) {
-        auto &v = proc_busy[tile];
-        return t >= static_cast<int64_t>(v.size()) || !v[t];
+    auto proc_next_free = [&](int tile, int64_t t) {
+        const auto &v = proc_busy[tile];
+        while (t < static_cast<int64_t>(v.size()) && v[t])
+            t++;
+        return t;
     };
     auto proc_take = [&](int tile, int64_t t) {
         auto &v = proc_busy[tile];
@@ -160,40 +162,32 @@ run_pass(const TaskGraph &g, const Partition &part,
     };
 
     // First cycle >= the path's ready time at which @p tree can run
-    // start-to-finish without touching an occupied slot.
+    // start-to-finish without touching an occupied slot.  A rejected
+    // candidate jumps straight to the next cycle at which the slot
+    // that rejected it is free: every cycle skipped fails that same
+    // slot, so the first feasible cycle is the one a one-cycle step
+    // would find.
     auto find_slot = [&](const RouteTree &tree, int src_tile,
                          int64_t r) {
         int64_t t = r;
-        for (;; t++) {
+        for (;;) {
             check(t < r + 2000000,
                   "scheduler: no feasible slot for path");
-            if (!proc_free(src_tile, t))
-                continue;
-            bool ok = true;
-            for (const TreeHop &h : tree.hops) {
-                auto it = sw_res[h.tile].find(t + 1 + h.depth);
-                if (it == sw_res[h.tile].end())
-                    continue;
-                const SwRes &res2 = it->second;
-                uint8_t in_bit = static_cast<uint8_t>(
-                    1u << static_cast<int>(h.in));
-                if ((res2.in_used & in_bit) ||
-                    (res2.out_used & h.out_mask) ||
-                    (h.to_reg && res2.reg_used)) {
-                    ok = false;
-                    break;
-                }
+            int64_t next = proc_next_free(src_tile, t);
+            for (size_t k = 0; next == t && k < tree.hops.size(); k++) {
+                const TreeHop &h = tree.hops[k];
+                int64_t c = t + 1 + h.depth;
+                next = t + (sw_res.next_free(h, c) - c);
             }
-            if (ok) {
-                for (auto &[tile, depth] : tree.proc_recvs) {
-                    if (!proc_free(tile, t + 2 + depth)) {
-                        ok = false;
-                        break;
-                    }
-                }
+            for (size_t k = 0; next == t && k < tree.proc_recvs.size();
+                 k++) {
+                auto [tile, depth] = tree.proc_recvs[k];
+                int64_t c = t + 2 + depth;
+                next = t + (proc_next_free(tile, c) - c);
             }
-            if (ok)
+            if (next == t)
                 return t;
+            t = next;
         }
     };
 
@@ -210,9 +204,7 @@ run_pass(const TaskGraph &g, const Partition &part,
                 continue;
             }
             int tile = part.tile_of[v];
-            int64_t t = ready_time(v);
-            while (!proc_free(tile, t))
-                t++;
+            int64_t t = proc_next_free(tile, ready_time(v));
             proc_take(tile, t);
             out.tiles[tile].push_back({t, TileItem::Kind::kCompute, v,
                                        kNoValue, -1});
@@ -246,11 +238,7 @@ run_pass(const TaskGraph &g, const Partition &part,
                                            path.src_node, path.value,
                                            p});
             for (const TreeHop &h : tree->hops) {
-                SwRes &swr = sw_res[h.tile][t + 1 + h.depth];
-                swr.in_used |= static_cast<uint8_t>(
-                    1u << static_cast<int>(h.in));
-                swr.out_used |= h.out_mask;
-                swr.reg_used = swr.reg_used || h.to_reg;
+                sw_res.take(h, t + 1 + h.depth);
                 out.switches[h.tile].push_back(
                     {t + 1 + h.depth, h.in, h.out_mask, h.to_reg,
                      path.value, p});

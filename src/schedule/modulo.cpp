@@ -18,7 +18,7 @@ using sched::build_deps;
 using sched::compute_priorities;
 using sched::DepInfo;
 using sched::Priorities;
-using sched::SwRes;
+using sched::SwitchTable;
 using sched::topo_order;
 
 /** Recurrence-chain nodes outrank everything else in the ready queue
@@ -356,7 +356,7 @@ run_modulo_pass(const TaskGraph &g, const Partition &part,
     std::vector<std::map<int, int64_t>> arrival(np);
 
     std::vector<std::vector<bool>> proc_busy(m.n_tiles);
-    std::vector<std::map<int64_t, SwRes>> sw_res(m.n_tiles);
+    SwitchTable sw_res(m.n_tiles);
     std::vector<int64_t> proc_lo(m.n_tiles, INT64_MAX);
     std::vector<int64_t> proc_hi(m.n_tiles, INT64_MIN);
     std::vector<int64_t> sw_lo(m.n_tiles, INT64_MAX);
@@ -522,15 +522,7 @@ run_modulo_pass(const TaskGraph &g, const Partition &part,
                         ok = false;
                         break;
                     }
-                    auto it = sw_res[h.tile].find(c);
-                    if (it == sw_res[h.tile].end())
-                        continue;
-                    const SwRes &res2 = it->second;
-                    uint8_t in_bit = static_cast<uint8_t>(
-                        1u << static_cast<int>(h.in));
-                    if ((res2.in_used & in_bit) ||
-                        (res2.out_used & h.out_mask) ||
-                        (h.to_reg && res2.reg_used)) {
+                    if (!sw_res.admits(h, c)) {
                         ok = false;
                         break;
                     }
@@ -565,11 +557,7 @@ run_modulo_pass(const TaskGraph &g, const Partition &part,
                                            p});
             for (const TreeHop &h : tree.hops) {
                 int64_t c = t + 1 + h.depth;
-                SwRes &swr = sw_res[h.tile][c];
-                swr.in_used |= static_cast<uint8_t>(
-                    1u << static_cast<int>(h.in));
-                swr.out_used |= h.out_mask;
-                swr.reg_used = swr.reg_used || h.to_reg;
+                sw_res.take(h, c);
                 sw_lo[h.tile] = std::min(sw_lo[h.tile], c);
                 sw_hi[h.tile] = std::max(sw_hi[h.tile], c);
                 out.switches[h.tile].push_back(

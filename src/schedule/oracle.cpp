@@ -99,14 +99,8 @@ struct Searcher
             bool ok = true;
             for (const TreeHop &h : tree.hops) {
                 auto it = s.sw_res[h.tile].find(t + 1 + h.depth);
-                if (it == s.sw_res[h.tile].end())
-                    continue;
-                const SwRes &res2 = it->second;
-                uint8_t in_bit = static_cast<uint8_t>(
-                    1u << static_cast<int>(h.in));
-                if ((res2.in_used & in_bit) ||
-                    (res2.out_used & h.out_mask) ||
-                    (h.to_reg && res2.reg_used)) {
+                if (it != s.sw_res[h.tile].end() &&
+                    !it->second.admits(h)) {
                     ok = false;
                     break;
                 }
@@ -173,11 +167,7 @@ struct Searcher
         int64_t t = find_slot(s, tree, path.src_tile, r);
         proc_take(s, path.src_tile, t);
         for (const TreeHop &h : tree.hops) {
-            SwRes &swr = s.sw_res[h.tile][t + 1 + h.depth];
-            swr.in_used |= static_cast<uint8_t>(
-                1u << static_cast<int>(h.in));
-            swr.out_used |= h.out_mask;
-            swr.reg_used = swr.reg_used || h.to_reg;
+            s.sw_res[h.tile][t + 1 + h.depth].take(h);
             s.makespan = std::max(s.makespan, t + 2 + h.depth);
         }
         for (auto &[tile, depth] : tree.proc_recvs) {

@@ -29,6 +29,63 @@ struct SwRes
     uint8_t in_used = 0;  // bitmask over Dir
     uint8_t out_used = 0; // bitmask over Dir
     bool reg_used = false;
+
+    /** True when every port @p h needs is still free this cycle. */
+    bool admits(const TreeHop &h) const
+    {
+        uint8_t in_bit =
+            static_cast<uint8_t>(1u << static_cast<int>(h.in));
+        return !(in_used & in_bit) && !(out_used & h.out_mask) &&
+               !(h.to_reg && reg_used);
+    }
+    /** Reserve the ports @p h needs this cycle. */
+    void take(const TreeHop &h)
+    {
+        in_used |= static_cast<uint8_t>(1u << static_cast<int>(h.in));
+        out_used |= h.out_mask;
+        reg_used = reg_used || h.to_reg;
+    }
+};
+
+/**
+ * Switch reservations of one block schedule: a dense SwRes row per
+ * tile, indexed by cycle and grown on demand, the scheme the
+ * processor-slot bitmaps use.  The slot searches probe every route
+ * hop at every candidate cycle, so a probe is an array index rather
+ * than a tree lookup.
+ */
+class SwitchTable
+{
+  public:
+    explicit SwitchTable(int n_tiles) : rows_(n_tiles) {}
+
+    /** True when hop @p h can cross its switch at @p cycle. */
+    bool admits(const TreeHop &h, int64_t cycle) const
+    {
+        const std::vector<SwRes> &row = rows_[h.tile];
+        return cycle >= static_cast<int64_t>(row.size()) ||
+               row[cycle].admits(h);
+    }
+    /** First cycle >= @p cycle at which hop @p h can cross. */
+    int64_t next_free(const TreeHop &h, int64_t cycle) const
+    {
+        const std::vector<SwRes> &row = rows_[h.tile];
+        while (cycle < static_cast<int64_t>(row.size()) &&
+               !row[cycle].admits(h))
+            cycle++;
+        return cycle;
+    }
+    /** Reserve hop @p h's ports at @p cycle. */
+    void take(const TreeHop &h, int64_t cycle)
+    {
+        std::vector<SwRes> &row = rows_[h.tile];
+        if (cycle >= static_cast<int64_t>(row.size()))
+            row.resize(cycle + 1);
+        row[cycle].take(h);
+    }
+
+  private:
+    std::vector<std::vector<SwRes>> rows_;
 };
 
 /** Priorities: level (critical path) and clamped fertility. */

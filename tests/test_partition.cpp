@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <random>
 
@@ -210,40 +211,122 @@ TEST(Partition, CrossEdgesCounted)
     EXPECT_EQ(cross, p.cross_edges);
 }
 
-// Property: the O(n) incremental swap delta used by greedy-swap and
-// anneal placement must equal the cost difference of two full O(n²)
-// recomputes, for randomized traffic matrices and assignments.
+// Dense O(n²) reference for PlacementCost: hop-weighted traffic, and
+// with feedback each word also pays both endpoint tiles' comm penalty
+// and each partition's scaled compute pays its tile's proc penalty.
+int64_t
+dense_placement_cost(const std::vector<std::vector<int>> &w,
+                     const std::vector<int> &tile_of,
+                     const MachineConfig &machine,
+                     const PlacementFeedback &fb,
+                     const std::vector<int64_t> &part_cost)
+{
+    auto pen = [](const std::vector<int64_t> &v, int t) -> int64_t {
+        return t < static_cast<int>(v.size()) ? v[t] : 0;
+    };
+    const int n = static_cast<int>(tile_of.size());
+    int64_t cost = 0;
+    for (int a = 0; a < n; a++) {
+        const int ta = tile_of[a];
+        for (int b = a + 1; b < n; b++) {
+            const int tb = tile_of[b];
+            int64_t d = machine.distance(ta, tb);
+            if (!fb.empty())
+                d = kPlaceDistUnit * d + pen(fb.comm_penalty, ta) +
+                    pen(fb.comm_penalty, tb);
+            cost += static_cast<int64_t>(w[a][b]) * d;
+        }
+        if (!fb.empty())
+            cost += part_cost[a] / kPlacePenaltyMax *
+                    pen(fb.proc_penalty, ta);
+    }
+    return cost;
+}
+
+// Property: the sparse swap delta used by greedy-swap and anneal
+// placement must equal the cost difference of two full dense
+// recomputes, for randomized traffic matrices, assignments and PGO
+// feedback.  Matrices range from dense and small to sparse with >= 90%
+// empty rows on meshes up to 8x16 (the shape large-mesh blocks
+// produce).  Tier-1 builds define NDEBUG, so this test is the live
+// check on the delta algebra, not the debug assert in placement.
 TEST(Place, SwapDeltaMatchesFullRecompute)
 {
     std::mt19937 rng(20260805);
-    for (int trial = 0; trial < 200; trial++) {
-        MachineConfig machine =
-            MachineConfig::base(trial % 2 ? 4 : 16);
-        std::uniform_int_distribution<int> n_dist(2, 12);
+    for (int trial = 0; trial < 400; trial++) {
+        const bool sparse = trial % 2 == 1;
+        const bool feedback = trial % 4 >= 2;
+        // Dense: up to 12 partitions on 2x2 / 4x4 meshes.  Sparse:
+        // 20..n_tiles partitions on 8x8 / 8x16 meshes.
+        const int mesh = sparse ? (trial % 8 < 4 ? 64 : 128)
+                                : (trial % 8 < 4 ? 4 : 16);
+        MachineConfig machine = MachineConfig::base(mesh);
+        std::uniform_int_distribution<int> n_dist(
+            sparse ? 20 : 2, sparse ? mesh : std::min(12, mesh));
         const int n = n_dist(rng);
         std::uniform_int_distribution<int> w_dist(0, 1000);
         std::vector<std::vector<int>> w(n, std::vector<int>(n, 0));
-        for (int a = 0; a < n; a++)
-            for (int b = a + 1; b < n; b++)
-                w[a][b] = w[b][a] = w_dist(rng);
-        std::uniform_int_distribution<int> tile_dist(
-            0, machine.n_tiles - 1);
-        std::vector<int> tile_of(n);
-        for (int a = 0; a < n; a++)
-            tile_of[a] = tile_dist(rng);
         std::uniform_int_distribution<int> p_dist(0, n - 1);
-        int i = p_dist(rng), j = p_dist(rng);
-        if (i == j)
-            continue;
-        int64_t delta =
-            placement_swap_delta(w, tile_of, machine, i, j);
-        int64_t before =
-            placement_assignment_cost(w, tile_of, machine);
-        std::swap(tile_of[i], tile_of[j]);
-        int64_t after =
-            placement_assignment_cost(w, tile_of, machine);
-        EXPECT_EQ(delta, after - before)
-            << "trial " << trial << " i=" << i << " j=" << j;
+        std::vector<int> busy;
+        if (sparse) {
+            // At most 10% of the partitions exchange traffic.
+            for (int k = n / 10; k-- > 0;)
+                busy.push_back(p_dist(rng));
+            for (int a : busy)
+                for (int b : busy)
+                    if (a < b && rng() % 2)
+                        w[a][b] = w[b][a] = w_dist(rng);
+        } else {
+            for (int a = 0; a < n; a++)
+                for (int b = a + 1; b < n; b++)
+                    w[a][b] = w[b][a] = w_dist(rng);
+        }
+        PlacementFeedback fb;
+        std::vector<int64_t> part_cost(n, 0);
+        if (feedback) {
+            std::uniform_int_distribution<int64_t> pen_dist(
+                0, kPlacePenaltyMax);
+            // Short penalty vectors cover the "missing tile = 0" rule.
+            fb.comm_penalty.resize(machine.n_tiles - trial % 3);
+            fb.proc_penalty.resize(machine.n_tiles);
+            for (int64_t &x : fb.comm_penalty)
+                x = pen_dist(rng);
+            for (int64_t &x : fb.proc_penalty)
+                x = pen_dist(rng);
+            std::uniform_int_distribution<int64_t> cost_dist(0, 5000);
+            for (int64_t &x : part_cost)
+                x = cost_dist(rng);
+        }
+        // Distinct tiles, as placement assigns them.
+        std::vector<int> tiles(machine.n_tiles);
+        for (int t = 0; t < machine.n_tiles; t++)
+            tiles[t] = t;
+        std::shuffle(tiles.begin(), tiles.end(), rng);
+        std::vector<int> tile_of(tiles.begin(), tiles.begin() + n);
+
+        PlacementCost cost(w, machine, fb, part_cost);
+        ASSERT_EQ(cost.total(tile_of),
+                  dense_placement_cost(w, tile_of, machine, fb,
+                                       part_cost))
+            << "trial " << trial;
+        for (int k = 0; k < 8; k++) {
+            // Half the sparse swaps move a partition with traffic.
+            int i = !busy.empty() && k % 2 ? busy[rng() % busy.size()]
+                                           : p_dist(rng);
+            int j = p_dist(rng);
+            if (i == j)
+                continue;
+            int64_t delta = cost.swap_delta(tile_of, i, j);
+            int64_t before = dense_placement_cost(w, tile_of, machine,
+                                                  fb, part_cost);
+            std::swap(tile_of[i], tile_of[j]);
+            int64_t after = dense_placement_cost(w, tile_of, machine,
+                                                 fb, part_cost);
+            EXPECT_EQ(delta, after - before)
+                << "trial " << trial << " n=" << n << " i=" << i
+                << " j=" << j << (sparse ? " sparse" : " dense")
+                << (feedback ? " feedback" : "");
+        }
     }
 }
 
