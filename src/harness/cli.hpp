@@ -10,6 +10,8 @@
  * they reject partial parses, overflow and out-of-range values with a
  * uniform "<tool>: <flag> expects <what>, got '<value>'" diagnostic
  * and exit code 2 (usage error), which tests/test_faults.cpp pins.
+ * The bench drivers walk argv with Args (below), so an unknown flag
+ * is a usage error too (tests/test_bench_cli.cpp).
  */
 
 #include <cerrno>

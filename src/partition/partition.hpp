@@ -140,8 +140,8 @@ class PlacementCost
     /** @p part_cost is the compute per partition (feedback only). */
     PlacementCost(const std::vector<std::vector<int>> &w,
                   const MachineConfig &machine,
-                  const PlacementFeedback &feedback = {},
-                  const std::vector<int64_t> &part_cost = {});
+                  const PlacementFeedback &feedback,
+                  const std::vector<int64_t> &part_cost);
 
     /** Full cost of mapping partition p onto tile_of_partition[p]. */
     int64_t total(const std::vector<int> &tile_of_partition) const;
