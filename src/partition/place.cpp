@@ -145,19 +145,14 @@ PlacementCost::PlacementCost(const std::vector<std::vector<int>> &w,
     use_fb_ = !feedback.empty();
     if (!use_fb_)
         return;
-    auto padded = [&](const std::vector<int64_t> &pen) {
-        std::vector<int64_t> out(machine.n_tiles, 0);
-        for (int t = 0; t < machine.n_tiles &&
-                        t < static_cast<int>(pen.size());
-             t++)
-            out[t] = pen[t];
-        return out;
-    };
-    pen_comm_ = padded(feedback.comm_penalty);
-    pen_proc_ = padded(feedback.proc_penalty);
-    comp_.assign(n, 0);
-    for (int p = 0; p < n && p < static_cast<int>(part_cost.size());
-         p++)
+    pen_comm_ = feedback.comm_penalty;
+    pen_comm_.resize(machine.n_tiles, 0);
+    pen_proc_ = feedback.proc_penalty;
+    pen_proc_.resize(machine.n_tiles, 0);
+    check(static_cast<int>(part_cost.size()) == n,
+          "placement: one compute cost per partition");
+    comp_.resize(n);
+    for (int p = 0; p < n; p++)
         comp_[p] = part_cost[p] / kPlacePenaltyMax;
 }
 
