@@ -10,7 +10,7 @@
  * they reject partial parses, overflow and out-of-range values with a
  * uniform "<tool>: <flag> expects <what>, got '<value>'" diagnostic
  * and exit code 2 (usage error), which tests/test_faults.cpp pins.
- * The bench drivers walk argv with Args (below), so an unknown flag
+ * The bench binaries walk argv with Args (below), so an unknown flag
  * is a usage error too (tests/test_bench_cli.cpp).
  */
 
@@ -96,7 +96,7 @@ parse_tiles(const char *tool, const char *s, const char *flag)
 }
 
 /**
- * Flag cursor for the bench drivers.  A driver matches every flag it
+ * Flag cursor for the bench binaries.  A bench matches every flag it
  * knows explicitly and hands anything else to unknown():
  *
  *     raw::cli::Args args("bench_x", kUsage, argc, argv);
@@ -110,7 +110,7 @@ parse_tiles(const char *tool, const char *s, const char *flag)
  *     }
  *
  * `--help` / `-h` prints the usage text to stdout and exits 0 before
- * the driver runs anything or writes a file.  An unknown flag, or a
+ * the bench runs anything or writes a file.  An unknown flag, or a
  * flag whose value is missing, exits 2 with a message naming it.
  */
 class Args

@@ -103,7 +103,7 @@ cluster_taskgraph(const TaskGraph &g, const MachineConfig &machine,
             ready.push({blevel[i], i});
     }
 
-    // Per-visit scratch, indexed by cluster id and stamped with the
+    // Per-visit work arrays, indexed by cluster id and stamped with the
     // visited node so it never needs clearing: the latest finish
     // among v's preds in each cluster.
     std::vector<int64_t> in_max;

@@ -1,9 +1,9 @@
 /**
  * @file
- * Argv handling of every bench driver under bench/: `--help` prints
+ * Argv handling of every bench binary under bench/: `--help` prints
  * usage, runs nothing and writes no file; an unknown flag or a flag
  * missing its value exits 2 with a message naming the flag.  Each
- * driver runs in an empty scratch directory so a stray default
+ * bench runs in an empty temporary directory so a stray default
  * output (BENCH_*.json) would show up.
  */
 
@@ -31,7 +31,7 @@ const char *const kBenches[] = {
     "bench_serve",
 };
 
-/** Drivers whose output path flag takes a value. */
+/** Benches whose output path flag takes a value. */
 const char *const kJsonOut[] = {
     "bench_table3_speedup", "bench_ablation_priority",
     "bench_wallclock",      "bench_faults",
@@ -42,7 +42,7 @@ struct BenchRun
 {
     int status = -1;
     std::string out, err;
-    /** Entries the driver left in its working directory. */
+    /** Entries the bench left in its working directory. */
     int files_left = 0;
 };
 

@@ -9,7 +9,7 @@
  * compares the simulator cores with each other, so this is the gate
  * that keeps compiler output past 32 tiles byte-identical across
  * compile-time optimizations of partitioning and scheduling.  The
- * --jobs 4 runs catch per-block scratch state leaking across worker
+ * --jobs 4 runs catch per-block working state leaking across worker
  * threads.
  */
 
