@@ -62,6 +62,35 @@ RuntimeChecker::audit(const Fifo &f, size_t shadow_depth,
     }
 }
 
+void
+RuntimeChecker::audit_plane(const DynPlane &plane, int64_t cycle)
+{
+    if (!cfg_.fifo_bounds)
+        return;
+    const int n = static_cast<int>(plane.words.size());
+    int64_t sum = 0;
+    for (int t = 0; t < n; t++) {
+        int held = 0;
+        for (const Fifo &f : plane.in_bufs[t])
+            held += f.size();
+        const int count = plane.words[t];
+        const bool bit = (plane.occupied[t >> 6] >> (t & 63)) & 1;
+        if (count != held || bit != (count != 0)) {
+            std::ostringstream os;
+            os << "dyn plane: word count " << count << ", occupied bit "
+               << bit << ", input buffers hold " << held;
+            fail("fifo-bounds", t, -1, cycle, os.str());
+        }
+        sum += count;
+    }
+    if (sum != plane.resident) {
+        std::ostringstream os;
+        os << "dyn plane: tile word counts sum to " << sum
+           << " != resident " << plane.resident;
+        fail("fifo-bounds", -1, -1, cycle, os.str());
+    }
+}
+
 WordProv
 RuntimeChecker::take(std::deque<WordProv> &q, const char *what,
                      int tile, int64_t cycle)

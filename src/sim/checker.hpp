@@ -33,7 +33,9 @@
  *
  *  - FIFO occupancy bounds.  Shadow-queue depth is compared against
  *    the real ring-buffer occupancy at every shadowed operation, and
- *    the ring invariants are audited, in release builds too.
+ *    the ring invariants are audited, in release builds too.  After
+ *    every dynamic-network plane step the plane's occupancy
+ *    bookkeeping is audited against its input buffers as well.
  *
  * Violations are reported as structured CheckFailure records in
  * SimResult::check_failures (bounded; the simulation continues), not
@@ -52,6 +54,7 @@
 namespace raw {
 
 class Fifo;
+struct DynPlane;
 
 /** Which runtime self-checks to enable (all off by default). */
 struct CheckConfig
@@ -113,6 +116,14 @@ class RuntimeChecker
     /** A switch route consumed from tile's outgoing link (dir). */
     WordProv take_link(int tile, int dir, const Fifo &f,
                        int64_t cycle);
+
+    /**
+     * Audit a dynamic-network plane after a step: every tile's word
+     * count equals the occupancy of its five input buffers, its
+     * occupied bit is set exactly when that count is non-zero, and
+     * the counts sum to the plane's resident total.
+     */
+    void audit_plane(const DynPlane &plane, int64_t cycle);
 
     // -- static-binding verification at consumption points
     /** Proc instr (tile, pc) consumed @p origin via operand @p slot. */

@@ -1,6 +1,7 @@
 #include "sim/simulator.hpp"
 
 #include <algorithm>
+#include <bit>
 
 /**
  * @file
@@ -25,7 +26,41 @@ namespace raw {
 
 namespace {
 
-constexpr int kLocal = 4; // input/output index for inject/eject
+constexpr int kLocal = DynPlane::kLocal;
+
+/** Smallest occupied tile strictly after @p after (-1 to start). */
+int
+next_occupied(const DynPlane &plane, int after)
+{
+    const int nw = static_cast<int>(plane.occupied.size());
+    int w = (after + 1) >> 6;
+    if (w >= nw)
+        return -1;
+    uint64_t bits = plane.occupied[w] & (~uint64_t(0) << ((after + 1) & 63));
+    while (!bits) {
+        if (++w >= nw)
+            return -1;
+        bits = plane.occupied[w];
+    }
+    return (w << 6) + std::countr_zero(bits);
+}
+
+/**
+ * Output port a header at @p t bound for @p dst leaves by: kLocal at
+ * the destination, else MachineConfig::next_hop's X-then-Y direction
+ * from the plane's precomputed rows and columns.
+ */
+int
+route_out(const DynPlane &plane, int t, int dst)
+{
+    if (dst == t)
+        return kLocal;
+    int fc = plane.col[t], tc = plane.col[dst];
+    if (fc != tc)
+        return static_cast<int>(fc < tc ? Dir::kEast : Dir::kWest);
+    return static_cast<int>(plane.row[t] < plane.row[dst] ? Dir::kSouth
+                                                          : Dir::kNorth);
+}
 
 } // namespace
 
@@ -63,40 +98,57 @@ dyn_hdr_kind(uint32_t h)
 }
 
 void
-DynPlane::init(int n_tiles)
+DynPlane::init(const MachineConfig &m)
 {
+    const int n = m.n_tiles;
     in_bufs.clear();
-    in_bufs.resize(n_tiles);
+    in_bufs.resize(n);
     for (auto &bufs : in_bufs)
         for (Fifo &f : bufs)
             f = Fifo(4);
-    out_owner.assign(n_tiles, {-1, -1, -1, -1, -1});
-    out_remaining.assign(n_tiles, {0, 0, 0, 0, 0});
-    in_remaining.assign(n_tiles, {0, 0, 0, 0, 0});
-    rr.assign(n_tiles, {0, 0, 0, 0, 0});
-    eject.assign(n_tiles, {});
+    out_owner.assign(n, {-1, -1, -1, -1, -1});
+    out_remaining.assign(n, {0, 0, 0, 0, 0});
+    in_remaining.assign(n, {0, 0, 0, 0, 0});
+    rr.assign(n, {0, 0, 0, 0, 0});
+    eject.assign(n, {});
+    words.assign(n, 0);
+    occupied.assign((n + 63) / 64, 0);
     resident = 0;
+    nbr.resize(n);
+    row.resize(n);
+    col.resize(n);
+    for (int t = 0; t < n; t++) {
+        for (int d = 0; d < 4; d++)
+            nbr[t][d] = m.neighbor(t, static_cast<Dir>(d));
+        row[t] = m.row_of(t);
+        col[t] = m.col_of(t);
+    }
 }
 
+/**
+ * One plane cycle visits only the tiles holding a word, in ascending
+ * order.  This is exact: a tile with no word can neither pop (every
+ * move starts with can_pop on one of its inputs) nor push, and a word
+ * pushed into a tile this cycle is not poppable before the next
+ * (Fifo cycle stamps), so a tile that gains its first word behind or
+ * ahead of the cursor does nothing this cycle either way.
+ */
 void
-Simulator::step_plane(DynPlane &plane, bool is_reply, int64_t now)
+Simulator::step_plane(DynPlane &plane, int64_t now)
 {
-    const MachineConfig &m = prog_.machine;
-    const int n = m.n_tiles;
-
-    // Route one word per output port per tile per cycle.
-    for (int t = 0; t < n; t++) {
+    // Route one word per output port per occupied tile per cycle.
+    for (int t = next_occupied(plane, -1); t >= 0;
+         t = next_occupied(plane, t)) {
         for (int out = 0; out < 5; out++) {
-            // Where does this output lead?
-            Fifo *target = nullptr;
+            // Where does this output lead?  Input (out ^ 2) of the
+            // neighbor is the opposite direction (N<->S, E<->W).
+            int nb = -1;
             if (out != kLocal) {
-                int nb = m.neighbor(t, static_cast<Dir>(out));
+                nb = plane.nbr[t][out];
                 if (nb < 0)
                     continue; // mesh edge
-                target =
-                    &plane.in_bufs[nb][static_cast<int>(opposite(
-                        static_cast<Dir>(out)))];
             }
+            const int target_in = out ^ 2;
 
             int owner = plane.out_owner[t][out];
             if (owner < 0) {
@@ -108,28 +160,23 @@ Simulator::step_plane(DynPlane &plane, bool is_reply, int64_t now)
                     if (!src.can_pop(now) ||
                         plane.in_remaining[t][in] > 0)
                         continue;
-                    uint32_t h = src.front(now);
-                    int dst = dyn_hdr_dst(h);
-                    int want = dst == t
-                                   ? kLocal
-                                   : static_cast<int>(
-                                         m.next_hop(t, dst));
-                    if (want == out)
+                    int dst = dyn_hdr_dst(src.front(now));
+                    if (route_out(plane, t, dst) == out)
                         owner = in;
                 }
                 if (owner < 0)
                     continue;
                 // Claim the output for this worm.
-                Fifo &src = plane.in_bufs[t][owner];
-                uint32_t h = src.front(now);
-                if (out != kLocal && !target->can_push(now)) {
+                uint32_t h = plane.in_bufs[t][owner].front(now);
+                if (out != kLocal &&
+                    !plane.in_bufs[nb][target_in].can_push(now)) {
                     // Downstream backpressure: the header word sits
                     // in this tile's buffer for another cycle.
                     stats_.profile.tiles[t].dyn_net_blocked++;
                     plane_blocked_.push_back(t);
                     continue; // try again next cycle
                 }
-                src.pop(now);
+                plane.pop(t, owner, now);
                 plane.out_owner[t][out] = owner;
                 plane.out_remaining[t][out] = dyn_hdr_len(h);
                 plane.in_remaining[t][owner] = dyn_hdr_len(h);
@@ -138,7 +185,7 @@ Simulator::step_plane(DynPlane &plane, bool is_reply, int64_t now)
                     plane.resident--;
                     plane.eject[t].push_back(h);
                 } else {
-                    target->push(now, h);
+                    plane.push(nb, target_in, now, h);
                 }
                 if (plane.out_remaining[t][out] == 0) {
                     plane.out_owner[t][out] = -1;
@@ -152,22 +199,22 @@ Simulator::step_plane(DynPlane &plane, bool is_reply, int64_t now)
             }
 
             // Continue an owned worm: move one payload word.
-            Fifo &src = plane.in_bufs[t][owner];
-            if (!src.can_pop(now))
+            if (!plane.in_bufs[t][owner].can_pop(now))
                 continue;
-            if (out != kLocal && !target->can_push(now)) {
+            if (out != kLocal &&
+                !plane.in_bufs[nb][target_in].can_push(now)) {
                 stats_.profile.tiles[t].dyn_net_blocked++;
                 plane_blocked_.push_back(t);
                 continue;
             }
-            uint32_t w = src.pop(now);
+            uint32_t w = plane.pop(t, owner, now);
             plane.in_remaining[t][owner]--;
             plane.out_remaining[t][out]--;
             if (out == kLocal) {
                 plane.resident--;
                 plane.eject[t].push_back(w);
             } else {
-                target->push(now, w);
+                plane.push(nb, target_in, now, w);
             }
             if (plane.out_remaining[t][out] == 0) {
                 plane.out_owner[t][out] = -1;
@@ -179,7 +226,8 @@ Simulator::step_plane(DynPlane &plane, bool is_reply, int64_t now)
             progress_ = true;
         }
     }
-    (void)is_reply;
+    if (checker_)
+        checker_->audit_plane(plane, now);
 }
 
 void
@@ -219,10 +267,8 @@ Simulator::step_dyn(int tile, int64_t now)
 
     // Inject one pending reply word per cycle.
     if (d.outbox_pos < d.outbox.size()) {
-        Fifo &local = reply_plane_.in_bufs[tile][4];
-        if (local.can_push(now)) {
-            local.push(now, d.outbox[d.outbox_pos++]);
-            reply_plane_.resident++;
+        if (reply_plane_.can_inject(tile, now)) {
+            reply_plane_.inject(tile, now, d.outbox[d.outbox_pos++]);
             progress_ = true;
             if (d.outbox_pos == d.outbox.size()) {
                 d.outbox.clear();

@@ -29,10 +29,8 @@ Simulator::step_proc(int tile, int64_t now)
     // request words into the network, then wait for the reply.
     if (p.waiting_dyn) {
         if (p.inject_pos < p.inject.size()) {
-            Fifo &local = req_plane_.in_bufs[tile][4];
-            if (local.can_push(now)) {
-                local.push(now, p.inject[p.inject_pos++]);
-                req_plane_.resident++;
+            if (req_plane_.can_inject(tile, now)) {
+                req_plane_.inject(tile, now, p.inject[p.inject_pos++]);
                 progress_ = true;
                 if (p.inject_pos == p.inject.size()) {
                     p.inject.clear();

@@ -114,8 +114,8 @@ Simulator::Simulator(const CompiledProgram &prog, FaultConfig faults,
     p2s_.assign(n, Fifo());
     s2p_.assign(n, Fifo());
     links_.assign(n, std::vector<Fifo>(4, Fifo()));
-    req_plane_.init(n);
-    reply_plane_.init(n);
+    req_plane_.init(prog_.machine);
+    reply_plane_.init(prog_.machine);
     stats_.profile.tiles.resize(n);
     for (int t = 0; t < n; t++)
         stats_.profile.tiles[t].route_stalls.assign(
@@ -450,9 +450,9 @@ Simulator::run(int64_t max_cycles)
                 i++;
         }
         if (req_plane_.resident > 0)
-            step_plane(req_plane_, false, now);
+            step_plane(req_plane_, now);
         if (reply_plane_.resident > 0)
-            step_plane(reply_plane_, true, now);
+            step_plane(reply_plane_, now);
         for (size_t i = 0; i < active_dyn_.size();) {
             int t = active_dyn_[i];
             step_dyn(t, now);

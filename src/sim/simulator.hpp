@@ -15,9 +15,9 @@
  *  - single-reader/single-writer port FIFOs between processor and
  *    switch and between neighboring switches (one-cycle hop);
  *  - a dynamic-network interface with a remote-memory handler
- *    (Section 5.1): wormhole routing is abstracted to a
- *    distance-proportional delivery latency plus serialized handler
- *    occupancy (a documented substitution — see DESIGN.md).
+ *    (Section 5.1): requests and replies travel as worms over two
+ *    dimension-ordered wormhole planes (DynPlane), and each handler
+ *    serializes the requests it serves (sim/dynamic_network.cpp).
  *
  * A FaultConfig injects random dynamic events over four independent
  * channels (memory-miss latency, static-network route stalls,
@@ -328,9 +328,18 @@ DynKind dyn_hdr_kind(uint32_t h);
  * word followed by payload words; an output port is owned by one
  * input until the tail passes.  Requests and replies travel on
  * separate planes so the request-reply protocol cannot deadlock.
+ *
+ * Words enter a plane only through inject(), hop between tiles with
+ * push() and pop(), and leave at the ejecting pop() in
+ * Simulator::step_plane.  push() and pop() keep the per-tile
+ * occupancy (@c words, @c occupied) that lets a plane cycle visit
+ * only the tiles holding a word.
  */
 struct DynPlane
 {
+    /** Input/output index of local injection and ejection. */
+    static constexpr int kLocal = 4;
+
     /** Input buffers, indexed [tile][dir]; dir 4 = local inject. */
     std::vector<std::array<Fifo, 5>> in_bufs;
     /** Owning input of each output (-1 free); output 4 = eject. */
@@ -343,10 +352,53 @@ struct DynPlane
     std::vector<std::array<int, 5>> rr;
     /** Partially ejected message per tile. */
     std::vector<std::vector<uint32_t>> eject;
-    /** Words currently resident in any input buffer (skip if 0). */
+    /** Words in each tile's five input buffers. */
+    std::vector<int> words;
+    /** Bit t set exactly when words[t] > 0; 64 tiles per element. */
+    std::vector<uint64_t> occupied;
+    /**
+     * Words in all input buffers of the plane (the sum of @c words);
+     * the simulator skips step_plane while it is 0.
+     */
     int resident = 0;
+    /** Neighbor per tile and direction (Dir 0..3), -1 off-mesh. */
+    std::vector<std::array<int, 4>> nbr;
+    /** Mesh row and column per tile (X-then-Y next hop). */
+    std::vector<int> row, col;
 
-    void init(int n_tiles);
+    /** Size an empty plane for @p m and precompute its topology. */
+    void init(const MachineConfig &m);
+
+    /** Does tile @p t's local input buffer have room this cycle? */
+    bool
+    can_inject(int t, int64_t now) const
+    {
+        return in_bufs[t][kLocal].can_push(now);
+    }
+    /** Inject word @p w into tile @p t's local input buffer. */
+    void
+    inject(int t, int64_t now, uint32_t w)
+    {
+        push(t, kLocal, now, w);
+        resident++;
+    }
+    /** Push @p w into input @p in of tile @p t. */
+    void
+    push(int t, int in, int64_t now, uint32_t w)
+    {
+        in_bufs[t][in].push(now, w);
+        if (words[t]++ == 0)
+            occupied[t >> 6] |= uint64_t(1) << (t & 63);
+    }
+    /** Pop the head word of input @p in of tile @p t. */
+    uint32_t
+    pop(int t, int in, int64_t now)
+    {
+        uint32_t w = in_bufs[t][in].pop(now);
+        if (--words[t] == 0)
+            occupied[t >> 6] &= ~(uint64_t(1) << (t & 63));
+        return w;
+    }
 };
 
 /**
@@ -424,6 +476,10 @@ class Simulator
 
     const MemorySystem &memory() const { return mem_; }
 
+    /** The request and reply planes of the dynamic network. */
+    const DynPlane &request_plane() const { return req_plane_; }
+    const DynPlane &reply_plane() const { return reply_plane_; }
+
   private:
     friend struct ProcStepper;
     friend struct SwitchStepper;
@@ -481,7 +537,7 @@ class Simulator
     SwExec exec_switch_instr(int tile, int64_t now);
     void step_dyn(int tile, int64_t now);
     /** Advance one wormhole plane by one cycle. */
-    void step_plane(DynPlane &plane, bool is_reply, int64_t now);
+    void step_plane(DynPlane &plane, int64_t now);
     /** Dispatch a fully ejected message. */
     void deliver_dyn(int tile, const std::vector<uint32_t> &msg,
                      int64_t now);

@@ -45,10 +45,11 @@
  *    whose stall re-draws RNG every cycle (clock jitter) or whose
  *    wake is not event-visible (dynamic-network waits, injected
  *    route holds) never sleep; they spin exactly like the reference.
- *    Awake units live in per-plane bitmasks scanned in ascending
- *    tile order with a live cursor, so a cycle's cost scales with
- *    the number of awake units, not the machine size, while keeping
- *    the reference's visit order.  The hottest aggregate counters
+ *    Awake units live in two bitmasks, one for processors and one
+ *    for switches, scanned in ascending tile order with a live
+ *    cursor, so a cycle's cost scales with the number of awake
+ *    units, not the machine size, while keeping the reference's
+ *    visit order.  The hottest aggregate counters
  *    are batched in ThreadedState and folded into SimResult before
  *    any exit path can observe them, and per-tile state is reached
  *    through pointers resolved once at decode (HotP / HotS).
@@ -56,6 +57,12 @@
  *  - Sprint: when exactly one processor is awake and the network is
  *    empty, its straight-line records execute in a tight loop, one
  *    instruction per cycle, without the per-cycle machine scaffolding.
+ *
+ *  - Dynamic network: not pre-decoded.  Processors inject requests
+ *    through DynPlane::inject exactly as processor.cpp does, and both
+ *    wormhole planes advance through the Simulator::step_plane all
+ *    cores share (dynamic_network.cpp), which visits only the tiles
+ *    holding a word.
  *
  *  - Regions (SimBackend::kRegion only): decode marks straight-line
  *    runs of records that touch no FIFO and draw no fault randomness
@@ -1025,10 +1032,8 @@ ThreadedState::step_proc(int t, int64_t now)
     // Outstanding dynamic-network request: mirror of processor.cpp.
     if (p.waiting_dyn) {
         if (p.inject_pos < p.inject.size()) {
-            Fifo &local = S.req_plane_.in_bufs[t][4];
-            if (local.can_push(now)) {
-                local.push(now, p.inject[p.inject_pos++]);
-                S.req_plane_.resident++;
+            if (S.req_plane_.can_inject(t, now)) {
+                S.req_plane_.inject(t, now, p.inject[p.inject_pos++]);
                 prog_ = true;
                 if (p.inject_pos == p.inject.size()) {
                     p.inject.clear();
@@ -2214,9 +2219,9 @@ ThreadedState::run(int64_t max_cycles)
             }
         }
         if (S.req_plane_.resident > 0)
-            S.step_plane(S.req_plane_, false, now);
+            S.step_plane(S.req_plane_, now);
         if (S.reply_plane_.resident > 0)
-            S.step_plane(S.reply_plane_, true, now);
+            S.step_plane(S.reply_plane_, now);
         for (size_t i = 0; i < S.active_dyn_.size();) {
             int t = S.active_dyn_[i];
             S.step_dyn(t, now);

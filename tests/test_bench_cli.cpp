@@ -1,10 +1,11 @@
 /**
  * @file
- * Argv handling of every bench binary under bench/: `--help` prints
- * usage, runs nothing and writes no file; an unknown flag or a flag
- * missing its value exits 2 with a message naming the flag.  Each
- * bench runs in an empty temporary directory so a stray default
- * output (BENCH_*.json) would show up.
+ * Argv handling of every bench binary under bench/ and of the
+ * golden_gen and trace_check tools: `--help` prints usage, runs
+ * nothing and writes no file; an unknown flag or a flag missing its
+ * value exits 2 with a message naming the flag.  Each binary runs in
+ * an empty temporary directory so a stray default output
+ * (BENCH_*.json, a golden file) would show up.
  */
 
 #include <gtest/gtest.h>
@@ -16,6 +17,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 
 namespace {
 
@@ -55,15 +57,17 @@ slurp(const fs::path &p)
     return ss.str();
 }
 
+/** Run @p dir/@p name with @p args in an empty directory. */
 BenchRun
-run_bench(const std::string &name, const std::string &args)
+run_in(const std::string &dir, const std::string &name,
+       const std::string &args)
 {
     char tmpl[] = "/tmp/bench-cli-XXXXXX";
     fs::path root = mkdtemp(tmpl);
     fs::path cwd = root / "cwd";
     fs::create_directory(cwd);
     std::string cmd = "cd '" + cwd.string() + "' && '" +
-                      std::string(BENCH_DIR) + "/" + name + "' " + args +
+                      dir + "/" + name + "' " + args +
                       " >'" + (root / "out").string() + "' 2>'" +
                       (root / "err").string() + "'";
     BenchRun r;
@@ -76,6 +80,12 @@ run_bench(const std::string &name, const std::string &args)
         r.files_left++;
     fs::remove_all(root);
     return r;
+}
+
+BenchRun
+run_bench(const std::string &name, const std::string &args)
+{
+    return run_in(BENCH_DIR, name, args);
 }
 
 TEST(BenchCli, HelpPrintsUsageAndRunsNothing)
@@ -118,6 +128,54 @@ TEST(BenchCli, MissingValueExitsTwoNamingFlag)
     BenchRun r = run_bench("bench_wallclock", "--jobs");
     EXPECT_EQ(r.status, 2);
     EXPECT_NE(r.err.find("--jobs expects a value"), std::string::npos)
+        << r.err;
+}
+
+TEST(ToolCli, HelpPrintsUsageAndWritesNothing)
+{
+    // --help wins even after an output directory was named.
+    const std::pair<const char *, const char *> kRuns[] = {
+        {"golden_gen", "--help"},
+        {"golden_gen", "-h"},
+        {"golden_gen", "--update out --help"},
+        {"trace_check", "--help"},
+        {"trace_check", "-h"},
+        {"trace_check", "trace.json --help"},
+    };
+    for (const auto &[tool, args] : kRuns) {
+        SCOPED_TRACE(std::string(tool) + " " + args);
+        BenchRun r = run_in(TOOLS_DIR, tool, args);
+        EXPECT_EQ(r.status, 0);
+        EXPECT_EQ(r.out.rfind(std::string("usage: ") + tool, 0), 0u)
+            << r.out;
+        EXPECT_EQ(r.files_left, 0);
+    }
+}
+
+TEST(ToolCli, UnknownFlagExitsTwoNamingIt)
+{
+    for (const char *tool : {"golden_gen", "trace_check"}) {
+        SCOPED_TRACE(tool);
+        BenchRun r = run_in(TOOLS_DIR, tool, "--no-such-flag");
+        EXPECT_EQ(r.status, 2);
+        EXPECT_NE(r.err.find("unknown flag '--no-such-flag'"),
+                  std::string::npos)
+            << r.err;
+        EXPECT_EQ(r.files_left, 0);
+    }
+}
+
+TEST(ToolCli, MissingOperandExitsTwoNamingIt)
+{
+    BenchRun r = run_in(TOOLS_DIR, "golden_gen", "--update");
+    EXPECT_EQ(r.status, 2);
+    EXPECT_NE(r.err.find("missing <output-dir>"), std::string::npos)
+        << r.err;
+    EXPECT_EQ(r.files_left, 0);
+
+    r = run_in(TOOLS_DIR, "trace_check", "");
+    EXPECT_EQ(r.status, 2);
+    EXPECT_NE(r.err.find("missing <trace.json>"), std::string::npos)
         << r.err;
 }
 

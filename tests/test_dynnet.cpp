@@ -55,15 +55,20 @@ skeleton(int n)
     return cp;
 }
 
-/** Every tile dyn-stores then dyn-loads a remote word. */
-TEST(DynNet, AllToOneContention)
+/**
+ * Every tile dyn-stores then dyn-loads a word homed on the last tile
+ * (A[(n-1) + n*t]), then prints it; the last tile finds its word
+ * local and sends no message.
+ */
+CompiledProgram
+all_to_one(int n)
 {
-    const int n = 8;
     CompiledProgram cp = skeleton(n);
-    // Every tile writes A[7 + 8*t]... all homes on tile 7.
+    cp.arrays[0].size = n * n;
+    cp.total_words = n * n;
     for (int t = 0; t < n; t++) {
         PInstr addr = pi(Op::kConst, 1);
-        addr.imm = int_bits(7 + 8 * t); // home 7 for every tile
+        addr.imm = int_bits((n - 1) + n * t);
         PInstr val = pi(Op::kConst, 2);
         val.imm = int_bits(100 + t);
         PInstr st = pi(Op::kDynStore, -1, 1, 2);
@@ -74,6 +79,13 @@ TEST(DynNet, AllToOneContention)
         pr.print_seq = t;
         cp.tiles[t].code = {addr, val, st, ld, pr, pi(Op::kHalt)};
     }
+    return cp;
+}
+
+TEST(DynNet, AllToOneContention)
+{
+    const int n = 8;
+    CompiledProgram cp = all_to_one(n);
     Simulator sim(cp);
     SimResult r = sim.run();
     ASSERT_EQ(r.prints.size(), static_cast<size_t>(n));
@@ -84,6 +96,65 @@ TEST(DynNet, AllToOneContention)
     EXPECT_EQ(r.dyn_messages, 2 * (n - 1));
     EXPECT_GT(r.cycles, 2 * (n - 1) * cp.machine.dyn_handler_cycles)
         << "handler serialization must show in the cycle count";
+}
+
+/** Is no tile of @p plane marked as holding a word? */
+bool
+mask_empty(const DynPlane &plane)
+{
+    for (uint64_t w : plane.occupied)
+        if (w != 0)
+            return false;
+    return true;
+}
+
+TEST(DynNet, PlaneBookkeepingAuditedUnderContention)
+{
+    // 128 tiles (8x16) spread the occupancy mask over two words; all
+    // traffic converges on the last tile.  The fifo_bounds audit
+    // checks every plane's per-tile word counts and occupancy bits
+    // against its input buffers after each plane step.
+    const int n = 128;
+    CompiledProgram cp = all_to_one(n);
+    CheckConfig checks;
+    checks.fifo_bounds = true;
+    for (SimBackend be :
+         {SimBackend::kReference, SimBackend::kThreaded}) {
+        SCOPED_TRACE(sim_backend_name(be));
+        Simulator sim(cp, {}, checks, be);
+        SimResult r = sim.run();
+        ASSERT_EQ(r.prints.size(), static_cast<size_t>(n));
+        EXPECT_EQ(r.dyn_messages, 2 * (n - 1));
+        EXPECT_EQ(r.check_failure_count, 0);
+        for (const DynPlane *plane :
+             {&sim.request_plane(), &sim.reply_plane()}) {
+            EXPECT_EQ(plane->resident, 0);
+            EXPECT_TRUE(mask_empty(*plane));
+        }
+    }
+}
+
+TEST(DynNet, PlaneAuditReportsBookkeepingDrift)
+{
+    // A word pushed past DynPlane::push leaves the tile's count and
+    // occupancy bit stale; the audit must flag it as fifo-bounds.
+    DynPlane plane;
+    plane.init(MachineConfig::base(4));
+    plane.in_bufs[2][1].push(0, 7);
+    CheckConfig checks;
+    checks.fifo_bounds = true;
+    RuntimeChecker checker(4, checks);
+    checker.audit_plane(plane, 1);
+    std::vector<CheckFailure> f = checker.take_failures();
+    ASSERT_EQ(f.size(), 1u);
+    EXPECT_EQ(f[0].kind, "fifo-bounds");
+    EXPECT_EQ(f[0].tile, 2);
+
+    // Consistent bookkeeping audits clean.
+    plane.init(MachineConfig::base(4));
+    plane.inject(2, 0, 7);
+    checker.audit_plane(plane, 1);
+    EXPECT_TRUE(checker.take_failures().empty());
 }
 
 TEST(DynNet, LatencyGrowsWithDistance)

@@ -27,10 +27,10 @@
  */
 
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <string>
 
+#include "harness/cli.hpp"
 #include "harness/harness.hpp"
 #include "sim/profile.hpp"
 
@@ -116,6 +116,12 @@ recorded_cycles(const std::string &path)
     return -1;
 }
 
+constexpr const char *kUsage =
+    "usage: golden_gen [--update] <output-dir>\n"
+    "  write one golden per point into <output-dir>; --update re-runs\n"
+    "  each point with the self-checker armed and prints a cycle-delta\n"
+    "  table against the goldens already there\n";
+
 } // namespace
 
 int
@@ -123,18 +129,23 @@ main(int argc, char **argv)
 {
     bool update = false;
     const char *dir_arg = nullptr;
-    bool bad_args = false;
-    for (int i = 1; i < argc; i++) {
-        if (std::strcmp(argv[i], "--update") == 0)
+    raw::cli::Args args("golden_gen", kUsage, argc, argv);
+    while (args.next()) {
+        if (args.is("--update"))
             update = true;
-        else if (!dir_arg)
-            dir_arg = argv[i];
-        else
-            bad_args = true;
+        else if (args.flag()[0] == '-')
+            args.unknown();
+        else if (dir_arg) {
+            std::fprintf(stderr,
+                         "golden_gen: unexpected argument '%s'\n%s",
+                         args.flag(), kUsage);
+            return 2;
+        } else
+            dir_arg = args.flag();
     }
-    if (!dir_arg || bad_args) {
-        std::fprintf(stderr,
-                     "usage: golden_gen [--update] <output-dir>\n");
+    if (!dir_arg) {
+        std::fprintf(stderr, "golden_gen: missing <output-dir>\n%s",
+                     kUsage);
         return 2;
     }
     const std::string dir = dir_arg;

@@ -29,6 +29,8 @@
 #include <string>
 #include <vector>
 
+#include "harness/cli.hpp"
+
 namespace {
 
 struct JsonValue
@@ -328,18 +330,29 @@ check_file(const std::string &path)
     return 0;
 }
 
+constexpr const char *kUsage =
+    "usage: trace_check <trace.json> [more.json ...]\n"
+    "  validate Chrome trace-event files written by rawcc --trace-out\n";
+
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    if (argc < 2) {
-        std::fprintf(stderr,
-                     "usage: trace_check <trace.json> [...]\n");
+    std::vector<const char *> files;
+    raw::cli::Args args("trace_check", kUsage, argc, argv);
+    while (args.next()) {
+        if (args.flag()[0] == '-')
+            args.unknown();
+        files.push_back(args.flag());
+    }
+    if (files.empty()) {
+        std::fprintf(stderr, "trace_check: missing <trace.json>\n%s",
+                     kUsage);
         return 2;
     }
     int rc = 0;
-    for (int i = 1; i < argc; i++)
-        rc |= check_file(argv[i]);
+    for (const char *f : files)
+        rc |= check_file(f);
     return rc;
 }
