@@ -115,11 +115,12 @@ time_one(const raw::BenchmarkProgram &prog, int tiles,
 
 /**
  * Large-mesh scaling scenario: the full suite at 16/32/64/128 tiles
- * (past Table 3's 32-tile ceiling), each point compiled once and
- * simulated under all three cores with a cycle-equality assert.  A
- * 1-tile simulation per benchmark supplies the speedup baseline.
- * Always runs serially so each core's cycles/s is an honest
- * single-thread figure.
+ * (past Table 3's 32-tile ceiling), each point compiled once, cold
+ * (the in-memory schedule cache is cleared first, so every mesh's
+ * compile_ms is a full compile), and simulated under all three cores
+ * with a cycle-equality assert.  A 1-tile simulation per benchmark
+ * supplies the speedup baseline.  Always runs serially so each core's
+ * cycles/s is an honest single-thread figure.
  */
 struct ScalePoint
 {
@@ -128,6 +129,9 @@ struct ScalePoint
     int64_t cycles = 0;
     int64_t base_cycles = 0; ///< same benchmark at 1 tile
     double compile_ms = 0;
+    /** IR size and the compile phases that grow with the mesh. */
+    int64_t ir_instrs = 0;
+    double partition_ms = 0, schedule_ms = 0, link_ms = 0;
     double ref_ms = 0, thr_ms = 0, reg_ms = 0;
 };
 
@@ -153,10 +157,15 @@ run_scaling(bool tiny)
             p.name = prog.name;
             p.tiles = n;
             p.base_cycles = base_cycles;
+            raw::SchedCache::instance().clear_memory();
             Clock::time_point tc = Clock::now();
             raw::CompileOutput out = raw::compile_source(
                 prog.source, raw::MachineConfig::base(n));
             p.compile_ms = ms_since(tc);
+            p.ir_instrs = out.stats.ir_instrs;
+            p.partition_ms = out.stats.orch_partition_ms;
+            p.schedule_ms = out.stats.orch_schedule_ms;
+            p.link_ms = out.stats.timings.link_ms;
             auto run_core = [&](raw::SimBackend backend, double &ms) {
                 Clock::time_point t0 = Clock::now();
                 raw::Simulator sim(out.program, {}, {}, backend);
@@ -340,7 +349,7 @@ write_json(const std::string &path, const std::vector<RunTiming> &runs,
                      path.c_str());
         std::exit(1);
     }
-    char buf[256];
+    char buf[512];
     out << "{\n  \"table\": \"wallclock\",\n";
     out << "  \"jobs\": " << jobs << ",\n";
     std::snprintf(buf, sizeof(buf), "  \"sweep_wall_ms\": %.1f,\n",
@@ -418,13 +427,17 @@ write_json(const std::string &path, const std::vector<RunTiming> &runs,
                 "%s\n    {\"name\": \"%s\", \"tiles\": %d, "
                 "\"cycles\": %lld, \"speedup_vs_1\": %.2f, "
                 "\"compile_ms\": %.1f, \"sim_ms_reference\": %.1f, "
-                "\"sim_ms_threaded\": %.1f, \"sim_ms_region\": %.1f}",
+                "\"sim_ms_threaded\": %.1f, \"sim_ms_region\": %.1f, "
+                "\"ir_instrs\": %lld, \"partition_ms\": %.1f, "
+                "\"schedule_ms\": %.1f, \"link_ms\": %.1f}",
                 i ? "," : "", p.name.c_str(), p.tiles,
                 static_cast<long long>(p.cycles),
                 p.cycles > 0 ? static_cast<double>(p.base_cycles) /
                                    static_cast<double>(p.cycles)
                              : 0,
-                p.compile_ms, p.ref_ms, p.thr_ms, p.reg_ms);
+                p.compile_ms, p.ref_ms, p.thr_ms, p.reg_ms,
+                static_cast<long long>(p.ir_instrs), p.partition_ms,
+                p.schedule_ms, p.link_ms);
             out << buf;
         }
         out << "],\n   \"cycles_identical\": true},\n";

@@ -1,10 +1,10 @@
 #include "analysis/taskgraph.hpp"
 
 #include <algorithm>
-#include <set>
 #include <unordered_map>
 
 #include "support/error.hpp"
+#include "support/stamped_table.hpp"
 #include "transform/rename.hpp"
 
 namespace raw {
@@ -38,18 +38,53 @@ TaskGraph::add_edge(int from, int to, DepKind kind)
 {
     if (from == to)
         return;
-    for (int e : out_[from])
-        if (edges_[e].to == to) {
-            // Keep the strongest flavour (data > order > anti).
-            if (kind < edges_[e].kind)
-                edges_[e].kind = kind;
-            return;
-        }
+    // edge_slot_ covers every pair at the anchor node.  Builders add
+    // edges in runs sharing a source (a memory reference against
+    // every later one) or a target (an instruction's operands), so a
+    // run re-anchors once, on the endpoint with fewer edges.
+    if (anchor_out_ ? from != anchor_ : to != anchor_) {
+        anchor_out_ = out_[from].size() <= preds_[to].size();
+        anchor_ = anchor_out_ ? from : to;
+        edge_slot_.clear(nodes_.size());
+        if (anchor_out_)
+            for (int e : out_[from])
+                edge_slot_.get(edges_[e].to) = e;
+        else
+            for (int e = in_head_[to]; e >= 0; e = in_next_[e])
+                edge_slot_.get(edges_[e].from) = e;
+    }
+    const int far = anchor_out_ ? to : from;
+    if (edge_slot_.has(far)) {
+        // Keep the strongest flavour (data > order > anti).
+        TGEdge &edge = edges_[edge_slot_.at(far)];
+        if (kind < edge.kind)
+            edge.kind = kind;
+        return;
+    }
     edges_.push_back({from, to, kind});
     int e = static_cast<int>(edges_.size()) - 1;
+    edge_slot_.get(far) = e;
     out_[from].push_back(e);
+    in_next_.push_back(in_head_[to]);
+    in_head_[to] = e;
     succs_[from].push_back(to);
     preds_[to].push_back(from);
+}
+
+void
+TaskGraph::index_producers()
+{
+    for (int i = 0; i < static_cast<int>(nodes_.size()); i++)
+        if (nodes_[i].produces != kNoValue)
+            producer_[nodes_[i].produces] = i;
+}
+
+TaskGraph::TaskGraph(std::vector<TGNode> nodes)
+    : nodes_(std::move(nodes)), succs_(nodes_.size()),
+      preds_(nodes_.size()), out_(nodes_.size()),
+      in_head_(nodes_.size(), -1)
+{
+    index_producers();
 }
 
 int
@@ -195,10 +230,8 @@ TaskGraph::TaskGraph(const Function &fn, int block_id,
     succs_.assign(nn, {});
     preds_.assign(nn, {});
     out_.assign(nn, {});
-
-    for (int i = 0; i < nn; i++)
-        if (nodes_[i].produces != kNoValue)
-            producer_[nodes_[i].produces] = i;
+    in_head_.assign(nn, -1);
+    index_producers();
 
     // ---- Value-flow edges. ----------------------------------------
     for (int i = 0; i < nn; i++) {
@@ -276,6 +309,12 @@ TaskGraph::TaskGraph(const Function &fn, int block_id,
             last_print = i;
         }
     }
+
+    // Every block's graph stays alive through scheduling; the dedup
+    // state is only needed while building.
+    in_head_ = {};
+    in_next_ = {};
+    edge_slot_ = StampedTable<int>();
 }
 
 } // namespace raw

@@ -27,6 +27,7 @@
 #include "analysis/replication.hpp"
 #include "ir/function.hpp"
 #include "machine/machine.hpp"
+#include "support/stamped_table.hpp"
 
 namespace raw {
 
@@ -94,6 +95,24 @@ class TaskGraph
               const ReplicationAnalysis &repl, const VarLiveness &live,
               const HomeMap &homes);
 
+    /**
+     * A graph of @p nodes with no edges yet, to be built with
+     * add_edge (synthetic graphs for tests).
+     */
+    explicit TaskGraph(std::vector<TGNode> nodes);
+
+    /**
+     * Add the edge @p from -> @p to.  A pair already present keeps
+     * one edge with the strongest kind (data > order > anti), and
+     * self-edges are dropped.  The duplicate check costs O(1) while
+     * consecutive calls share a source or a target, as the builders'
+     * runs do; a new run first loads the edges of whichever endpoint
+     * has fewer.
+     * Only while building: a graph from the block constructor is
+     * final.
+     */
+    void add_edge(int from, int to, DepKind kind);
+
     const std::vector<TGNode> &nodes() const { return nodes_; }
     const std::vector<TGEdge> &edges() const { return edges_; }
     const std::vector<int> &succs(int n) const { return succs_[n]; }
@@ -112,7 +131,7 @@ class TaskGraph
     int producer_of(ValueId v) const;
 
   private:
-    void add_edge(int from, int to, DepKind kind);
+    void index_producers();
 
     std::vector<TGNode> nodes_;
     std::vector<TGEdge> edges_;
@@ -122,6 +141,14 @@ class TaskGraph
     // whole function's value count (graphs for every block are alive
     // at once in the orchestrater).
     std::unordered_map<ValueId, int> producer_;
+    // add_edge's dedup, kept only while building: each node's
+    // in-edges as a list threaded through the edge indices (head per
+    // node, next per edge), and the edge index per far end of the
+    // anchor node's out-edges (anchor_out_) or in-edges.
+    std::vector<int> in_head_, in_next_;
+    StampedTable<int> edge_slot_;
+    int anchor_ = -1;
+    bool anchor_out_ = true;
 };
 
 } // namespace raw

@@ -111,21 +111,34 @@ struct Partition
     std::vector<int> tile_of;
     /** Number of edges whose endpoints ended up on different tiles. */
     int cross_edges = 0;
-    /** Candidate swaps evaluated during placement (perf tracking). */
+    /**
+     * Candidate swaps evaluated during placement (perf tracking).
+     * Greedy placement does not evaluate pairs of inert partitions,
+     * whose delta is provably 0 (see PlacementCost::inert).
+     */
     int64_t swaps_evaluated = 0;
+};
+
+/** Words exchanged between two partitions (either direction). */
+struct Traffic
+{
+    int a;
+    int b;
+    int words;
 };
 
 /**
  * Cost model of the placement swap search.
  *
  * The search only moves partitions between tiles; the symmetric
- * partition-to-partition word-traffic matrix @p w stays fixed.  So
- * the matrix is stored once per block as sparse rows of (partition,
- * words) pairs with their row sums, and each tile's mesh row and
- * column is tabulated.  A swap is then evaluated in O(deg_i + deg_j)
- * over the two partitions' nonzero traffic instead of O(n) over every
- * partition: at large meshes most rows are empty, and most candidate
- * swaps exchange no traffic at all.
+ * partition-to-partition word traffic stays fixed.  So it is stored
+ * once per block as sparse rows of (partition, words) pairs with their
+ * row sums, built straight from the (a, b, words) contributions, and
+ * each tile's mesh row and column is tabulated.  A swap is then
+ * evaluated in O(deg_i + deg_j) over the two partitions' nonzero
+ * traffic instead of O(n) over every partition: at large meshes most
+ * rows are empty, and most candidate swaps exchange no traffic at
+ * all.
  *
  * Without feedback the cost is the sum over partition pairs of
  * traffic x mesh distance.  With PGO feedback each word pays
@@ -137,8 +150,13 @@ struct Partition
 class PlacementCost
 {
   public:
-    /** @p part_cost is the compute per partition (feedback only). */
-    PlacementCost(const std::vector<std::vector<int>> &w,
+    /**
+     * @p traffic lists word contributions between @p n_parts
+     * partitions; repeated pairs accumulate and a == b entries are
+     * ignored.  @p part_cost is the compute per partition (feedback
+     * only).
+     */
+    PlacementCost(int n_parts, const std::vector<Traffic> &traffic,
                   const MachineConfig &machine,
                   const PlacementFeedback &feedback,
                   const std::vector<int64_t> &part_cost);
@@ -154,6 +172,17 @@ class PlacementCost
     int64_t swap_delta(const std::vector<int> &tile_of_partition, int i,
                        int j) const;
 
+    /**
+     * True when partition @p p's swap delta with any other inert
+     * partition is 0 on every assignment: it exchanges no words and,
+     * with feedback, carries no scaled compute.
+     */
+    bool inert(int p) const
+    {
+        return row_start_[p] == row_start_[p + 1] &&
+               (!use_fb_ || comp_[p] == 0);
+    }
+
   private:
     struct Entry
     {
@@ -168,8 +197,8 @@ class PlacementCost
         return (dr < 0 ? -dr : dr) + (dc < 0 ? -dc : dc);
     }
 
-    /** CSR rows of w without the diagonal: row p is
-     *  entries_[row_start_[p] .. row_start_[p + 1]). */
+    /** CSR rows of the traffic without the diagonal, one entry per
+     *  partner: row p is entries_[row_start_[p] .. row_start_[p + 1]). */
     std::vector<int> row_start_;
     std::vector<Entry> entries_;
     std::vector<int64_t> row_sum_;

@@ -10,23 +10,6 @@ namespace raw {
 
 namespace {
 
-/** Word traffic between each pair of partitions. */
-std::vector<std::vector<int>>
-traffic_matrix(const TaskGraph &g, const Clustering &merged, int n_tiles)
-{
-    std::vector<std::vector<int>> w(n_tiles,
-                                    std::vector<int>(n_tiles, 0));
-    for (const TGEdge &e : g.edges()) {
-        int a = merged.cluster_of[e.from];
-        int b = merged.cluster_of[e.to];
-        if (a != b) {
-            w[a][b]++;
-            w[b][a]++;
-        }
-    }
-    return w;
-}
-
 /**
  * Per-edge slack under an idealized uniform-latency interconnect:
  * span minus the longest path through the edge.  Zero for edges on
@@ -85,51 +68,81 @@ edge_slack(const TaskGraph &g, int64_t &span_out)
 }
 
 /**
- * Criticality-weighted traffic: each cross-partition edge counts
- * 1 + crit_weight * (span - slack) / span words, so tight edges pull
- * their endpoint partitions together harder than slack ones.
+ * Word traffic between partitions: one contribution per
+ * cross-partition edge.  With @p crit_weight > 0 (PGO) each edge
+ * counts 1 + crit_weight * (span - slack) / span words, so tight
+ * edges pull their endpoint partitions together harder than slack
+ * ones; otherwise every edge is one word.
  */
-std::vector<std::vector<int>>
-critical_traffic_matrix(const TaskGraph &g, const Clustering &merged,
-                        int n_tiles, int crit_weight)
+std::vector<Traffic>
+partition_traffic(const TaskGraph &g, const Clustering &merged,
+                  int crit_weight)
 {
     int64_t span = 0;
-    std::vector<int64_t> slack = edge_slack(g, span);
-    std::vector<std::vector<int>> w(n_tiles,
-                                    std::vector<int>(n_tiles, 0));
+    std::vector<int64_t> slack;
+    if (crit_weight > 0)
+        slack = edge_slack(g, span);
+    std::vector<Traffic> out;
     for (size_t e = 0; e < g.edges().size(); e++) {
         const TGEdge &edge = g.edges()[e];
         int a = merged.cluster_of[edge.from];
         int b = merged.cluster_of[edge.to];
         if (a == b)
             continue;
-        int64_t bonus =
-            span > 0 ? (crit_weight * (span - slack[e])) / span : 0;
-        int wt = 1 + static_cast<int>(bonus);
-        w[a][b] += wt;
-        w[b][a] += wt;
+        int64_t bonus = crit_weight > 0 && span > 0
+                            ? (crit_weight * (span - slack[e])) / span
+                            : 0;
+        out.push_back({a, b, 1 + static_cast<int>(bonus)});
     }
-    return w;
+    return out;
 }
 
 } // namespace
 
-PlacementCost::PlacementCost(const std::vector<std::vector<int>> &w,
+PlacementCost::PlacementCost(int n, const std::vector<Traffic> &traffic,
                              const MachineConfig &machine,
                              const PlacementFeedback &feedback,
                              const std::vector<int64_t> &part_cost)
 {
-    const int n = static_cast<int>(w.size());
+    // Counting-sort both directions of every contribution into rows,
+    // then fold each row's repeated partners in place; at[q] is the
+    // slot of partner q in the row being folded (earlier rows' slots
+    // are all below that row's start).
+    auto counted = [](const Traffic &t) { return t.a != t.b && t.words; };
     row_start_.assign(n + 1, 0);
+    for (const Traffic &t : traffic)
+        if (counted(t)) {
+            row_start_[t.a + 1]++;
+            row_start_[t.b + 1]++;
+        }
+    for (int p = 0; p < n; p++)
+        row_start_[p + 1] += row_start_[p];
+    entries_.resize(row_start_[n]);
+    std::vector<int> fill(row_start_.begin(), row_start_.end() - 1);
+    for (const Traffic &t : traffic)
+        if (counted(t)) {
+            entries_[fill[t.a]++] = {t.b, t.words};
+            entries_[fill[t.b]++] = {t.a, t.words};
+        }
+    std::vector<int> at(n, -1);
     row_sum_.assign(n, 0);
-    for (int a = 0; a < n; a++) {
-        for (int b = 0; b < n; b++)
-            if (b != a && w[a][b]) {
-                entries_.push_back({b, w[a][b]});
-                row_sum_[a] += w[a][b];
+    int out = 0;
+    for (int p = 0; p < n; p++) {
+        const int begin = out;
+        for (int e = row_start_[p]; e < row_start_[p + 1]; e++) {
+            const Entry en = entries_[e];
+            row_sum_[p] += en.words;
+            if (at[en.part] >= begin) {
+                entries_[at[en.part]].words += en.words;
+            } else {
+                at[en.part] = out;
+                entries_[out++] = en;
             }
-        row_start_[a + 1] = static_cast<int>(entries_.size());
+        }
+        row_start_[p] = begin;
     }
+    row_start_[n] = out;
+    entries_.resize(out);
     tile_row_.resize(machine.n_tiles);
     tile_col_.resize(machine.n_tiles);
     for (int t = 0; t < machine.n_tiles; t++) {
@@ -249,16 +262,12 @@ place_partitions(const TaskGraph &g, const Clustering &merged,
         }
     }
 
-    std::vector<std::vector<int>> w =
-        opts.crit_weight > 0
-            ? critical_traffic_matrix(g, merged, n_tiles,
-                                      opts.crit_weight)
-            : traffic_matrix(g, merged, n_tiles);
-
     // Profile-guided placement folds per-tile congestion penalties
     // into the cost model (see PlacementCost).
     const bool use_fb = !opts.feedback.empty();
-    const PlacementCost cost(w, machine, opts.feedback, merged.cost_of);
+    const PlacementCost cost(
+        n_tiles, partition_traffic(g, merged, opts.crit_weight),
+        machine, opts.feedback, merged.cost_of);
 
     int64_t swaps_evaluated = 0;
     // Candidate swaps are evaluated by the sparse delta, not a full
@@ -283,11 +292,26 @@ place_partitions(const TaskGraph &g, const Clustering &merged,
         movable.size() > 1) {
         int64_t cur = cost.total(tile_of_partition);
         if (opts.place_mode == PlaceMode::kGreedySwap) {
+            // Swapping two inert partitions changes nothing on any
+            // assignment, so such a pair is never taken: an inert i
+            // tries only the non-inert j > i, in the same ascending
+            // order.  next_live[k] is the first position >= k whose
+            // partition is not inert.
+            const size_t m = movable.size();
+            std::vector<size_t> next_live(m + 1, m);
+            for (size_t k = m; k-- > 0;)
+                next_live[k] =
+                    cost.inert(movable[k]) ? next_live[k + 1] : k;
             bool improved = true;
             while (improved) {
                 improved = false;
-                for (size_t i = 0; i < movable.size(); i++) {
-                    for (size_t j = i + 1; j < movable.size(); j++) {
+                for (size_t i = 0; i < m; i++) {
+                    const bool inert_i = cost.inert(movable[i]);
+                    auto next_j = [&](size_t j) {
+                        return inert_i ? next_live[j] : j;
+                    };
+                    for (size_t j = next_j(i + 1); j < m;
+                         j = next_j(j + 1)) {
                         int64_t d = delta_of(movable[i], movable[j]);
                         if (d < 0) {
                             std::swap(tile_of_partition[movable[i]],

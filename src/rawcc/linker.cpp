@@ -21,9 +21,11 @@ link_program(const Function &fn, VirtualProgram &vp,
     cp.tiles.resize(n_tiles);
     cp.switches.resize(n_tiles);
 
+    RegallocScratch scratch; // one set of tables for every tile
     for (int t = 0; t < n_tiles; t++) {
-        RegallocResult ra = allocate_registers(
-            fn, vp.tiles[t], vp.persistent[t], machine.num_registers);
+        RegallocResult ra =
+            allocate_registers(fn, vp.tiles[t], vp.persistent[t],
+                               machine.num_registers, scratch);
         cp.spill_slots[t] = ra.spill_slots;
         if (stats) {
             stats->spill_ops += ra.spill_ops;

@@ -1,10 +1,7 @@
 #include "rawcc/portfold.hpp"
 
-#include <unordered_map>
-
 #include "ir/eval.hpp"
-
-#include "support/error.hpp"
+#include "support/stamped_table.hpp"
 
 namespace raw {
 
@@ -52,15 +49,19 @@ can_put_port_dst(Op op)
     }
 }
 
+/** @p uses is scratch: cleared here, then this stream's use counts. */
 int
-fold_block(std::vector<VInstr> &code, const Function &fn)
+fold_block(std::vector<VInstr> &code, const Function &fn,
+           StampedTable<int> &uses)
 {
-    // Use counts of every value within this stream.
-    std::unordered_map<ValueId, int> uses;
+    uses.clear(fn.values.size());
     for (const VInstr &in : code)
         for (ValueId s : in.src)
             if (s >= 0)
-                uses[s]++;
+                uses.get(s, 0)++;
+    auto used_once = [&](ValueId v) {
+        return uses.has(v) && uses.at(v) == 1;
+    };
 
     int folded = 0;
     std::vector<VInstr> out;
@@ -72,7 +73,7 @@ fold_block(std::vector<VInstr> &code, const Function &fn)
         // RECV t ; op ..., t, ...   ->   op ..., <port>, ...
         if (cur.op == Op::kRecv && k + 1 < code.size() &&
             cur.dst >= 0 && !fn.values[cur.dst].is_var &&
-            uses[cur.dst] == 1) {
+            used_once(cur.dst)) {
             VInstr next = code[k + 1];
             bool next_has_port = next.src[0] == kPortOperand ||
                                  next.src[1] == kPortOperand;
@@ -98,7 +99,7 @@ fold_block(std::vector<VInstr> &code, const Function &fn)
 
         // op t, ... ; SEND t   ->   op <port>, ...
         if (k + 1 < code.size() && cur.dst >= 0 &&
-            !fn.values[cur.dst].is_var && uses[cur.dst] == 1 &&
+            !fn.values[cur.dst].is_var && used_once(cur.dst) &&
             can_put_port_dst(cur.op) &&
             cur.src[0] != kPortOperand &&
             cur.src[1] != kPortOperand) {
@@ -125,10 +126,12 @@ fold_block(std::vector<VInstr> &code, const Function &fn)
 int
 fold_port_operands(VirtualProgram &vp, const Function &fn)
 {
+    // One dense use-count table for every stream of the program.
+    StampedTable<int> uses;
     int folded = 0;
     for (auto &tile : vp.tiles)
         for (auto &block : tile)
-            folded += fold_block(block, fn);
+            folded += fold_block(block, fn, uses);
     return folded;
 }
 

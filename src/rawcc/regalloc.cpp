@@ -1,29 +1,20 @@
 #include "rawcc/regalloc.hpp"
 
 #include <algorithm>
-#include <map>
-#include <unordered_map>
+#include <utility>
 
 #include "support/error.hpp"
 
 namespace raw {
 
-namespace {
-
-struct Interval
-{
-    ValueId value;
-    int start;
-    int end;
-};
-
-} // namespace
-
 RegallocResult
 allocate_registers(const Function &fn,
                    const std::vector<std::vector<VInstr>> &blocks,
-                   const std::vector<ValueId> &persistent, int num_regs)
+                   const std::vector<ValueId> &persistent, int num_regs,
+                   RegallocScratch &scratch)
 {
+    using Temp = RegallocScratch::Temp;
+    using Active = RegallocScratch::Active;
     check(num_regs >= 8, "regalloc: too few registers");
     const int s0 = num_regs - 3, s1 = num_regs - 2, s2 = num_regs - 1;
     const int pool_size = num_regs - 3;
@@ -31,36 +22,39 @@ allocate_registers(const Function &fn,
     RegallocResult out;
     out.blocks.resize(blocks.size());
 
+    StampedTable<RegallocScratch::Pers> &pers = scratch.pers;
+    StampedTable<Temp> &temp = scratch.temp;
+    const size_t n_values = fn.values.size();
+    pers.clear(n_values);
+
     // ---- Persistent assignment by use count. ---------------------
-    std::unordered_map<ValueId, int64_t> use_count;
     for (ValueId v : persistent)
-        use_count[v] = 0;
+        pers.get(v);
     for (const auto &blk : blocks) {
         for (const VInstr &in : blk) {
             for (ValueId s : in.src)
-                if (s != kNoValue && use_count.count(s))
-                    use_count[s]++;
-            if (in.dst != kNoValue && use_count.count(in.dst))
-                use_count[in.dst]++;
+                if (s >= 0 && pers.has(s))
+                    pers.get(s).uses++;
+            if (in.dst >= 0 && pers.has(in.dst))
+                pers.get(in.dst).uses++;
         }
     }
     std::vector<ValueId> pers_sorted = persistent;
     std::sort(pers_sorted.begin(), pers_sorted.end(),
               [&](ValueId a, ValueId b) {
-                  if (use_count[a] != use_count[b])
-                      return use_count[a] > use_count[b];
+                  int ua = pers.at(a).uses, ub = pers.at(b).uses;
+                  if (ua != ub)
+                      return ua > ub;
                   return a < b;
               });
     // Keep at least 8 pool registers for temporaries.
     int max_pers = pool_size > 16 ? pool_size - 8 : pool_size / 2;
-    std::unordered_map<ValueId, int> pers_reg;   // value -> phys
-    std::unordered_map<ValueId, int> mem_slot;   // value -> spill slot
     int next_slot = 0;
     for (size_t i = 0; i < pers_sorted.size(); i++) {
         if (static_cast<int>(i) < max_pers)
-            pers_reg[pers_sorted[i]] = static_cast<int>(i);
+            pers.get(pers_sorted[i]).reg = static_cast<int>(i);
         else
-            mem_slot[pers_sorted[i]] = next_slot++;
+            pers.get(pers_sorted[i]).slot = next_slot++;
     }
     const int temp_base = std::min<int>(
         static_cast<int>(pers_sorted.size()), max_pers);
@@ -71,18 +65,18 @@ allocate_registers(const Function &fn,
     for (size_t b = 0; b < blocks.size(); b++) {
         const std::vector<VInstr> &code = blocks[b];
 
-        std::unordered_map<ValueId, Interval> ivals;
+        temp.clear(n_values);
+        std::vector<ValueId> &order = scratch.temps;
+        order.clear();
         auto touch = [&](ValueId v, int pos) {
-            if (v == kNoValue || v == kPortOperand ||
-                pers_reg.count(v) || mem_slot.count(v))
-                return;
-            if (fn.values[v].is_var && use_count.count(v))
-                return; // persistent handled above
-            auto it = ivals.find(v);
-            if (it == ivals.end())
-                ivals[v] = {v, pos, pos};
-            else
-                it->second.end = pos;
+            if (v < 0 || pers.has(v))
+                return; // no value, a port, or persistent
+            if (!temp.has(v)) {
+                temp.get(v) = {pos, pos, -1, -1};
+                order.push_back(v);
+            } else {
+                temp.get(v).end = pos;
+            }
         };
         for (size_t k = 0; k < code.size(); k++) {
             const VInstr &in = code[k];
@@ -90,51 +84,54 @@ allocate_registers(const Function &fn,
             touch(in.src[1], static_cast<int>(k));
             touch(in.dst, static_cast<int>(k));
         }
-
-        std::vector<Interval> order;
-        order.reserve(ivals.size());
-        for (auto &kv : ivals)
-            order.push_back(kv.second);
         std::sort(order.begin(), order.end(),
-                  [](const Interval &a, const Interval &b) {
-                      if (a.start != b.start)
-                          return a.start < b.start;
-                      return a.value < b.value;
+                  [&](ValueId a, ValueId b) {
+                      int sa = temp.at(a).start, sb = temp.at(b).start;
+                      if (sa != sb)
+                          return sa < sb;
+                      return a < b;
                   });
 
-        // Linear scan with furthest-end spilling.
-        std::unordered_map<ValueId, int> temp_reg;
-        std::unordered_map<ValueId, int> temp_slot;
-        std::vector<int> free_regs;
+        // Linear scan with furthest-end spilling.  `active` is sorted
+        // by end, equal ends in insertion order (a multimap's order):
+        // expiry frees registers earliest-inserted first, and the
+        // spill victim is the last-inserted of the furthest ends.
+        std::vector<int> &free_regs = scratch.free_regs;
+        free_regs.clear();
         for (int r = n_temp_regs; r-- > 0;)
             free_regs.push_back(temp_base + r);
-        // Active intervals sorted by end.
-        std::multimap<int, ValueId> active;
-        for (const Interval &iv : order) {
-            while (!active.empty() &&
-                   active.begin()->first < iv.start) {
-                free_regs.push_back(temp_reg[active.begin()->second]);
-                active.erase(active.begin());
-            }
+        std::vector<Active> &active = scratch.active;
+        active.clear();
+        auto activate = [&](int end, ValueId v) {
+            auto by_end = [](int e, const Active &a) { return e < a.end; };
+            active.insert(std::upper_bound(active.begin(), active.end(),
+                                           end, by_end),
+                          {end, v});
+        };
+        for (ValueId v : order) {
+            Temp &iv = temp.get(v);
+            size_t expired = 0;
+            while (expired < active.size() &&
+                   active[expired].end < iv.start)
+                free_regs.push_back(temp.at(active[expired++].value).reg);
+            active.erase(active.begin(), active.begin() + expired);
             if (!free_regs.empty()) {
-                temp_reg[iv.value] = free_regs.back();
+                iv.reg = free_regs.back();
                 free_regs.pop_back();
-                active.insert({iv.end, iv.value});
+                activate(iv.end, v);
                 continue;
             }
             // Spill the interval with the furthest end.
-            auto victim = std::prev(active.end());
-            if (victim->first > iv.end) {
-                ValueId vv = victim->second;
-                temp_reg[iv.value] = temp_reg[vv];
-                temp_reg.erase(vv);
-                if (!temp_slot.count(vv))
-                    temp_slot[vv] = next_slot++;
-                active.erase(victim);
-                active.insert({iv.end, iv.value});
+            const Active victim = active.back();
+            if (victim.end > iv.end) {
+                Temp &vi = temp.get(victim.value);
+                iv.reg = vi.reg;
+                vi.reg = -1;
+                vi.slot = next_slot++;
+                active.pop_back();
+                activate(iv.end, v);
             } else {
-                if (!temp_slot.count(iv.value))
-                    temp_slot[iv.value] = next_slot++;
+                iv.slot = next_slot++;
             }
         }
 
@@ -160,27 +157,25 @@ allocate_registers(const Function &fn,
             dst_code.push_back(st);
             out.spill_ops++;
         };
+        // Register (or -1) and spill slot (or -1) holding value v.
+        auto home_of = [&](ValueId v, const char *what) {
+            if (pers.has(v))
+                return std::make_pair(pers.at(v).reg, pers.at(v).slot);
+            check(temp.has(v) &&
+                      (temp.at(v).reg >= 0 || temp.at(v).slot >= 0),
+                  what);
+            return std::make_pair(temp.at(v).reg, temp.at(v).slot);
+        };
         auto src_reg = [&](ValueId v, int scratch) -> int {
             if (v == kNoValue)
                 return -1;
             if (v == kPortOperand)
                 return kPortOperand;
-            auto pr = pers_reg.find(v);
-            if (pr != pers_reg.end())
-                return pr->second;
-            auto pm = mem_slot.find(v);
-            if (pm != mem_slot.end()) {
-                emit_spill_load(pm->second, scratch,
-                                fn.values[v].type);
-                return scratch;
-            }
-            auto tr = temp_reg.find(v);
-            if (tr != temp_reg.end())
-                return tr->second;
-            auto ts = temp_slot.find(v);
-            check(ts != temp_slot.end(),
-                  "regalloc: use of unallocated value");
-            emit_spill_load(ts->second, scratch, fn.values[v].type);
+            auto [reg, slot] =
+                home_of(v, "regalloc: use of unallocated value");
+            if (reg >= 0)
+                return reg;
+            emit_spill_load(slot, scratch, fn.values[v].type);
             return scratch;
         };
 
@@ -202,20 +197,16 @@ allocate_registers(const Function &fn,
                 p.dst = -1;
             } else if (d == kPortOperand) {
                 p.dst = kPortOperand;
-            } else if (pers_reg.count(d)) {
-                p.dst = pers_reg[d];
-            } else if (mem_slot.count(d)) {
-                p.dst = s2;
-                store_slot = mem_slot[d];
-                store_type = fn.values[d].type;
-            } else if (temp_reg.count(d)) {
-                p.dst = temp_reg[d];
             } else {
-                check(temp_slot.count(d) > 0,
-                      "regalloc: def of unallocated value");
-                p.dst = s2;
-                store_slot = temp_slot[d];
-                store_type = fn.values[d].type;
+                auto [reg, slot] =
+                    home_of(d, "regalloc: def of unallocated value");
+                if (reg >= 0) {
+                    p.dst = reg;
+                } else {
+                    p.dst = s2;
+                    store_slot = slot;
+                    store_type = fn.values[d].type;
+                }
             }
             dst_code.push_back(p);
             if (store_slot >= 0)

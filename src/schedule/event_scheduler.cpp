@@ -1,6 +1,7 @@
 #include "schedule/event_scheduler.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <functional>
 #include <map>
 #include <queue>
@@ -21,6 +22,83 @@ using sched::DepInfo;
 using sched::Priorities;
 using sched::SwitchTable;
 using sched::topo_order;
+
+/**
+ * Processor issue slots of every tile: a busy bitmap in 64-cycle
+ * words, and over the words a path-compressed "next word with a free
+ * cycle" table (union-find on next free, as in interval
+ * scheduling).  next_word[w] == w while word w has a free cycle; a
+ * full word points at a later word to try, and lookups compress
+ * those chains, so a run of busy cycles is crossed in near-constant
+ * amortized time instead of one cycle at a time.  Cycles past a
+ * row's end are free.
+ */
+class ProcSlots
+{
+  public:
+    explicit ProcSlots(int n_tiles) : rows_(n_tiles) {}
+
+    /** First free cycle >= @p t on @p tile. */
+    int64_t next_free(int tile, int64_t t)
+    {
+        Row &r = rows_[tile];
+        int64_t w = t >> 6;
+        if (w >= static_cast<int64_t>(r.bits.size()))
+            return t;
+        uint64_t open = ~r.bits[w] & (~0ULL << (t & 63));
+        if (open)
+            return (w << 6) + __builtin_ctzll(open);
+        w = free_word(r, w + 1);
+        if (w >= static_cast<int64_t>(r.bits.size()))
+            return w << 6;
+        return (w << 6) + __builtin_ctzll(~r.bits[w]);
+    }
+
+    /** Reserve cycle @p t on @p tile (must be free). */
+    void take(int tile, int64_t t)
+    {
+        Row &r = rows_[tile];
+        const int64_t w = t >> 6;
+        const int64_t size = static_cast<int64_t>(r.bits.size());
+        if (w >= size) {
+            check(w < INT32_MAX, "scheduler: cycle out of range");
+            r.bits.resize(w + 1, 0);
+            r.next_word.resize(w + 1);
+            for (int64_t k = size; k <= w; k++)
+                r.next_word[k] = static_cast<int32_t>(k);
+        }
+        const uint64_t bit = 1ULL << (t & 63);
+        check(!(r.bits[w] & bit),
+              "scheduler: double-booked processor slot");
+        r.bits[w] |= bit;
+        if (r.bits[w] == ~0ULL)
+            r.next_word[w] = static_cast<int32_t>(w + 1);
+    }
+
+  private:
+    struct Row
+    {
+        std::vector<uint64_t> bits;
+        std::vector<int32_t> next_word;
+    };
+
+    /** First word >= @p w with a free cycle (may be past the end). */
+    static int64_t free_word(Row &r, int64_t w)
+    {
+        const int64_t size = static_cast<int64_t>(r.next_word.size());
+        int64_t root = w;
+        while (root < size && r.next_word[root] != root)
+            root = r.next_word[root];
+        while (w < size && r.next_word[w] != w) {
+            int64_t up = r.next_word[w];
+            r.next_word[w] = static_cast<int32_t>(root);
+            w = up;
+        }
+        return root;
+    }
+
+    std::vector<Row> rows_;
+};
 
 /** One list-scheduling pass plus the timing it realized. */
 struct PassResult
@@ -61,22 +139,8 @@ run_pass(const TaskGraph &g, const Partition &part,
     res.send_issue.assign(np, 0);
     res.arrival.assign(np, {});
 
-    std::vector<std::vector<bool>> proc_busy(m.n_tiles);
+    ProcSlots proc(m.n_tiles);
     SwitchTable sw_res(m.n_tiles);
-
-    auto proc_next_free = [&](int tile, int64_t t) {
-        const auto &v = proc_busy[tile];
-        while (t < static_cast<int64_t>(v.size()) && v[t])
-            t++;
-        return t;
-    };
-    auto proc_take = [&](int tile, int64_t t) {
-        auto &v = proc_busy[tile];
-        if (t >= static_cast<int64_t>(v.size()))
-            v.resize(t + 1, false);
-        check(!v[t], "scheduler: double-booked processor slot");
-        v[t] = true;
-    };
 
     // Ready queue: (priority, tie-break, kind 0=node 1=path, id).
     struct Task
@@ -173,7 +237,7 @@ run_pass(const TaskGraph &g, const Partition &part,
         for (;;) {
             check(t < r + 2000000,
                   "scheduler: no feasible slot for path");
-            int64_t next = proc_next_free(src_tile, t);
+            int64_t next = proc.next_free(src_tile, t);
             for (size_t k = 0; next == t && k < tree.hops.size(); k++) {
                 const TreeHop &h = tree.hops[k];
                 int64_t c = t + 1 + h.depth;
@@ -183,7 +247,7 @@ run_pass(const TaskGraph &g, const Partition &part,
                  k++) {
                 auto [tile, depth] = tree.proc_recvs[k];
                 int64_t c = t + 2 + depth;
-                next = t + (proc_next_free(tile, c) - c);
+                next = t + (proc.next_free(tile, c) - c);
             }
             if (next == t)
                 return t;
@@ -204,8 +268,8 @@ run_pass(const TaskGraph &g, const Partition &part,
                 continue;
             }
             int tile = part.tile_of[v];
-            int64_t t = proc_next_free(tile, ready_time(v));
-            proc_take(tile, t);
+            int64_t t = proc.next_free(tile, ready_time(v));
+            proc.take(tile, t);
             out.tiles[tile].push_back({t, TileItem::Kind::kCompute, v,
                                        kNoValue, -1});
             res.issue[v] = t;
@@ -233,7 +297,7 @@ run_pass(const TaskGraph &g, const Partition &part,
             }
 
             // Commit.
-            proc_take(src_tile, t);
+            proc.take(src_tile, t);
             out.tiles[src_tile].push_back({t, TileItem::Kind::kSend,
                                            path.src_node, path.value,
                                            p});
@@ -247,7 +311,7 @@ run_pass(const TaskGraph &g, const Partition &part,
             }
             for (auto &[tile, depth] : tree->proc_recvs) {
                 int64_t rc = t + 2 + depth;
-                proc_take(tile, rc);
+                proc.take(tile, rc);
                 out.tiles[tile].push_back(
                     {rc, TileItem::Kind::kRecv, -1, path.value, p});
                 res.arrival[p][tile] = rc;

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <set>
 
@@ -358,6 +359,117 @@ print(s);
                 work.push_back(s);
     }
     EXPECT_EQ(seen, n);
+}
+
+// k dynamic references to one array, as the orchestrater leaves a
+// block whose indices it cannot analyze: every pair with a store is
+// ordered, once, and no (from, to) pair is ever stored twice.
+TEST(TaskGraph, DynamicRefsOrderedOncePerPair)
+{
+    const char *src = R"(
+int A[64];
+int B[4];
+int x; int y;
+x = B[1];
+y = A[x] + A[x + 1];
+A[x + 2] = y * y;
+A[x + 3] = y + A[x + 4];
+A[x + 5] = A[x + 6] + A[x + 7];
+A[x] = A[x + 1] + y;
+print(y);
+)";
+    GraphParts g;
+    g.fn = prepare(src);
+    // The orchestrater's demotion: an array with an unanalyzable
+    // index is fully dynamic.
+    for (Block &blk : g.fn.blocks)
+        for (Instr &in : blk.instrs)
+            if (in.op == Op::kLoad && in.array == 0)
+                in.op = Op::kDynLoad;
+            else if (in.op == Op::kStore && in.array == 0)
+                in.op = Op::kDynStore;
+    g.repl = std::make_unique<ReplicationAnalysis>(g.fn, 8, 12, true);
+    g.live = std::make_unique<VarLiveness>(g.fn);
+    g.homes.n_tiles = 4;
+    g.homes.var_home.assign(g.fn.values.size(), 0);
+    g.homes.array_base.assign(g.fn.arrays.size(), 0);
+    MachineConfig m = MachineConfig::base(4);
+    CongruenceMap cong(g.fn, 0);
+    TaskGraph tg(g.fn, 0, m, cong, *g.repl, *g.live, g.homes);
+
+    std::vector<int> refs; // dynamic refs in node order
+    for (size_t i = 0; i < tg.nodes().size(); i++) {
+        const TGNode &nd = tg.nodes()[i];
+        if (nd.kind != TGKind::kInstr)
+            continue;
+        Op op = g.fn.blocks[0].instrs[nd.instr].op;
+        if (op == Op::kDynLoad || op == Op::kDynStore)
+            refs.push_back(static_cast<int>(i));
+    }
+    ASSERT_GE(refs.size(), 10u);
+    auto is_store = [&](int node) {
+        return g.fn.blocks[0].instrs[tg.nodes()[node].instr].op ==
+               Op::kDynStore;
+    };
+    std::set<std::pair<int, int>> seen, ordered;
+    for (const TGEdge &e : tg.edges()) {
+        EXPECT_TRUE(seen.insert({e.from, e.to}).second)
+            << "duplicate edge " << e.from << " -> " << e.to;
+        if (e.kind == DepKind::kOrder)
+            ordered.insert({e.from, e.to});
+    }
+    size_t pairs = 0;
+    for (size_t a = 0; a < refs.size(); a++)
+        for (size_t b = a + 1; b < refs.size(); b++)
+            if (is_store(refs[a]) || is_store(refs[b])) {
+                pairs++;
+                // A store feeding a later ref by value is already a
+                // data edge; data outranks order.
+                bool data = false;
+                for (int e : tg.out_edges(refs[a]))
+                    data = data || (tg.edges()[e].to == refs[b] &&
+                                    tg.edges()[e].kind == DepKind::kData);
+                EXPECT_TRUE(data || ordered.count({refs[a], refs[b]}))
+                    << refs[a] << " -> " << refs[b] << " unordered";
+            }
+    size_t ref_edges = 0;
+    for (const TGEdge &e : tg.edges())
+        if (std::find(refs.begin(), refs.end(), e.from) != refs.end() &&
+            std::find(refs.begin(), refs.end(), e.to) != refs.end())
+            ref_edges++;
+    EXPECT_EQ(ref_edges, pairs);
+}
+
+// A pair added under several kinds keeps one edge of the strongest
+// kind (data > order > anti), in either order of arrival, whether the
+// repeats come back to back or with another source's edge between.
+TEST(TaskGraph, RepeatedPairKeepsStrongestKind)
+{
+    for (bool reverse : {false, true})
+        for (bool interleave : {false, true}) {
+            SCOPED_TRACE(std::string(reverse ? "reverse" : "forward") +
+                         (interleave ? ", interleaved" : ""));
+            TaskGraph g(std::vector<TGNode>(3));
+            std::vector<DepKind> kinds = {
+                DepKind::kAnti, DepKind::kOrder, DepKind::kData};
+            if (reverse)
+                std::reverse(kinds.begin(), kinds.end());
+            for (DepKind k : kinds) {
+                g.add_edge(0, 1, k);
+                if (interleave)
+                    g.add_edge(2, 1, DepKind::kAnti); // new source
+            }
+            g.add_edge(2, 1, DepKind::kAnti);
+            g.add_edge(1, 1, DepKind::kData); // self-edges are dropped
+            ASSERT_EQ(g.edges().size(), 2u);
+            EXPECT_EQ(g.edges()[0].from, 0);
+            EXPECT_EQ(g.edges()[0].to, 1);
+            EXPECT_EQ(g.edges()[0].kind, DepKind::kData);
+            EXPECT_EQ(g.edges()[1].kind, DepKind::kAnti);
+            EXPECT_EQ(g.succs(0), std::vector<int>{1});
+            EXPECT_EQ(g.preds(1), (std::vector<int>{0, 2}));
+            EXPECT_EQ(g.out_edges(0), std::vector<int>{0});
+        }
 }
 
 } // namespace

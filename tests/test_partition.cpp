@@ -243,6 +243,31 @@ dense_placement_cost(const std::vector<std::vector<int>> &w,
     return cost;
 }
 
+// The dense reference matrix as PlacementCost input: one contribution
+// per nonzero pair, some split in two with the halves in opposite
+// orientations, plus ignored self-traffic, so the sparse rows must
+// fold repeated partners.
+std::vector<Traffic>
+traffic_of(const std::vector<std::vector<int>> &w)
+{
+    std::vector<Traffic> out;
+    const int n = static_cast<int>(w.size());
+    for (int a = 0; a < n; a++) {
+        out.push_back({a, a, 7});
+        for (int b = a + 1; b < n; b++) {
+            if (!w[a][b])
+                continue;
+            if (w[a][b] >= 2 && (a + b) % 2) {
+                out.push_back({a, b, w[a][b] / 2});
+                out.push_back({b, a, w[a][b] - w[a][b] / 2});
+            } else {
+                out.push_back({a, b, w[a][b]});
+            }
+        }
+    }
+    return out;
+}
+
 // Property: the sparse swap delta used by greedy-swap and anneal
 // placement must equal the cost difference of two full dense
 // recomputes, for randomized traffic matrices, assignments and PGO
@@ -304,7 +329,7 @@ TEST(Place, SwapDeltaMatchesFullRecompute)
         std::shuffle(tiles.begin(), tiles.end(), rng);
         std::vector<int> tile_of(tiles.begin(), tiles.begin() + n);
 
-        PlacementCost cost(w, machine, fb, part_cost);
+        PlacementCost cost(n, traffic_of(w), machine, fb, part_cost);
         ASSERT_EQ(cost.total(tile_of),
                   dense_placement_cost(w, tile_of, machine, fb,
                                        part_cost))
@@ -328,6 +353,114 @@ TEST(Place, SwapDeltaMatchesFullRecompute)
                 << (feedback ? " feedback" : "");
         }
     }
+}
+
+// Greedy placement skips pairs of inert partitions (no traffic, and
+// with feedback no scaled compute).  On random sparse graphs, with
+// and without feedback, it must return the tiles of the test's own
+// greedy loop over every pair, and evaluate fewer swaps.
+TEST(Place, GreedySkipMatchesFullGreedy)
+{
+    std::mt19937 rng(20261018);
+    int64_t skipped_total = 0;
+    for (int trial = 0; trial < 120; trial++) {
+        const bool feedback = trial % 2 == 1;
+        const int mesh = trial % 3 == 0 ? 16 : trial % 3 == 1 ? 64 : 128;
+        MachineConfig machine = MachineConfig::base(mesh);
+
+        // Nodes spread over a few busy partitions; the rest are empty.
+        const int n_busy = std::max(2, mesh / 6);
+        std::uniform_int_distribution<int> part_dist(0, mesh - 1);
+        std::vector<int> busy;
+        for (int k = 0; k < n_busy; k++)
+            busy.push_back(part_dist(rng));
+        const int nn = 20 + static_cast<int>(rng() % 160);
+        std::vector<TGNode> nodes(nn);
+        Clustering merged;
+        merged.n_clusters = mesh;
+        merged.cluster_of.resize(nn);
+        merged.cost_of.assign(mesh, 0);
+        for (int v = 0; v < nn; v++) {
+            nodes[v].cost = 1 + static_cast<int>(rng() % 40);
+            merged.cluster_of[v] = busy[rng() % busy.size()];
+            merged.cost_of[merged.cluster_of[v]] += nodes[v].cost;
+        }
+        TaskGraph g(nodes);
+        for (int k = nn / 2; k-- > 0;) {
+            int a = static_cast<int>(rng() % nn);
+            int b = static_cast<int>(rng() % nn);
+            if (a != b)
+                g.add_edge(std::min(a, b), std::max(a, b),
+                           DepKind::kData);
+        }
+        // A few partitions pinned to distinct tiles.
+        std::vector<int> parts(mesh), tiles(mesh);
+        for (int t = 0; t < mesh; t++)
+            parts[t] = tiles[t] = t;
+        std::shuffle(parts.begin(), parts.end(), rng);
+        std::shuffle(tiles.begin(), tiles.end(), rng);
+        merged.pin_of.assign(mesh, -1);
+        for (int k = 0; k < mesh / 8; k++)
+            merged.pin_of[parts[k]] = tiles[k];
+
+        PartitionOptions opts;
+        if (feedback) {
+            std::uniform_int_distribution<int64_t> pen_dist(
+                0, kPlacePenaltyMax);
+            opts.feedback.comm_penalty.resize(mesh);
+            opts.feedback.proc_penalty.resize(mesh);
+            for (int64_t &x : opts.feedback.comm_penalty)
+                x = pen_dist(rng);
+            for (int64_t &x : opts.feedback.proc_penalty)
+                x = pen_dist(rng);
+        }
+        Partition got = place_partitions(g, merged, machine, opts);
+
+        // Reference: the same start, every pair of every sweep.
+        std::vector<int> tile_of(mesh, -1), movable;
+        std::vector<bool> used(mesh, false);
+        for (int p = 0; p < mesh; p++)
+            if (merged.pin_of[p] >= 0) {
+                tile_of[p] = merged.pin_of[p];
+                used[merged.pin_of[p]] = true;
+            } else {
+                movable.push_back(p);
+            }
+        for (int p : movable) {
+            int t = 0;
+            while (used[t])
+                t++;
+            tile_of[p] = t;
+            used[t] = true;
+        }
+        std::vector<Traffic> traffic;
+        for (const TGEdge &e : g.edges())
+            traffic.push_back({merged.cluster_of[e.from],
+                               merged.cluster_of[e.to], 1});
+        PlacementCost cost(mesh, traffic, machine, opts.feedback,
+                           merged.cost_of);
+        int64_t evaluated = 0;
+        for (bool improved = true; improved;) {
+            improved = false;
+            for (size_t i = 0; i < movable.size(); i++)
+                for (size_t j = i + 1; j < movable.size(); j++) {
+                    evaluated++;
+                    if (cost.swap_delta(tile_of, movable[i],
+                                        movable[j]) < 0) {
+                        std::swap(tile_of[movable[i]],
+                                  tile_of[movable[j]]);
+                        improved = true;
+                    }
+                }
+        }
+        for (int v = 0; v < nn; v++)
+            ASSERT_EQ(got.tile_of[v], tile_of[merged.cluster_of[v]])
+                << "trial " << trial << " node " << v
+                << (feedback ? " feedback" : "");
+        EXPECT_LE(got.swaps_evaluated, evaluated) << "trial " << trial;
+        skipped_total += evaluated - got.swaps_evaluated;
+    }
+    EXPECT_GT(skipped_total, 0) << "no inert pair was ever skipped";
 }
 
 } // namespace

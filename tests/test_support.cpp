@@ -1,13 +1,15 @@
 /**
  * @file
- * Unit tests for support utilities: gcd/lcm, floor_mod, and the
- * modular-congruence algebra underpinning affine staticization.
+ * Unit tests for support utilities: gcd/lcm, floor_mod, the
+ * modular-congruence algebra underpinning affine staticization, and
+ * the epoch-stamped dense table.
  */
 
 #include <gtest/gtest.h>
 
 #include "support/error.hpp"
 #include "support/mathutil.hpp"
+#include "support/stamped_table.hpp"
 
 namespace raw {
 namespace {
@@ -141,6 +143,29 @@ TEST(Error, FatalAndPanic)
     EXPECT_THROW(panic("bug"), PanicError);
     EXPECT_NO_THROW(check(true, "fine"));
     EXPECT_THROW(check(false, "bad"), PanicError);
+}
+
+// Entries live until the next clear, which empties the table without
+// touching memory and may grow it; get() inserts its initial value
+// only for an absent key.
+TEST(StampedTable, ClearEmptiesAndGrows)
+{
+    StampedTable<int> t;
+    t.clear(4);
+    EXPECT_FALSE(t.has(2));
+    t.get(2, 7) += 1;
+    t.get(2, 100) += 1;
+    EXPECT_TRUE(t.has(2));
+    EXPECT_EQ(t.at(2), 9);
+    EXPECT_FALSE(t.has(3));
+    t.clear(8);
+    EXPECT_FALSE(t.has(2));
+    EXPECT_EQ(t.get(2), 0);
+    t.get(7) = 5;
+    EXPECT_TRUE(t.has(7));
+    t.clear(2); // never shrinks: key 7 stays addressable, but absent
+    EXPECT_FALSE(t.has(7));
+    EXPECT_FALSE(t.has(2));
 }
 
 } // namespace
