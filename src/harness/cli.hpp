@@ -10,8 +10,9 @@
  * they reject partial parses, overflow and out-of-range values with a
  * uniform "<tool>: <flag> expects <what>, got '<value>'" diagnostic
  * and exit code 2 (usage error), which tests/test_faults.cpp pins.
- * The bench binaries walk argv with Args (below), so an unknown flag
- * is a usage error too (tests/test_bench_cli.cpp).
+ * rawcc and the bench binaries walk argv with Args (below), so an
+ * unknown flag is a usage error too (tests/test_bench_cli.cpp,
+ * tests/test_faults.cpp).
  */
 
 #include <cerrno>
@@ -96,8 +97,9 @@ parse_tiles(const char *tool, const char *s, const char *flag)
 }
 
 /**
- * Flag cursor for the bench binaries.  A bench matches every flag it
- * knows explicitly and hands anything else to unknown():
+ * Flag cursor for rawcc and the bench binaries.  A tool matches every
+ * flag it knows explicitly, reads a positional word through flag(),
+ * and hands any other flag to unknown():
  *
  *     raw::cli::Args args("bench_x", kUsage, argc, argv);
  *     while (args.next()) {
@@ -110,7 +112,7 @@ parse_tiles(const char *tool, const char *s, const char *flag)
  *     }
  *
  * `--help` / `-h` prints the usage text to stdout and exits 0 before
- * the bench runs anything or writes a file.  An unknown flag, or a
+ * the tool runs anything or writes a file.  An unknown flag, or a
  * flag whose value is missing, exits 2 with a message naming it.
  */
 class Args

@@ -266,7 +266,6 @@ orchestrate_and_link(Function fn, const MachineConfig &machine,
     out.stats.block_makespan = vp.block_makespan;
     out.stats.est_tile_busy = vp.est_tile_busy;
     out.stats.block_pipeline = vp.block_pipeline;
-    out.stats.oracle_reports = vp.oracle_reports;
     out.stats.timings.total_ms = out.stats.timings.orchestrate_ms +
                                  out.stats.timings.link_ms;
     out.fn = std::move(fn);

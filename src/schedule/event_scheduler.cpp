@@ -14,8 +14,8 @@ namespace raw {
 namespace {
 
 // Dependence bookkeeping, priorities and reservation state live in
-// schedule/sched_internal.hpp, shared with the modulo scheduler and
-// the small-block oracle so all three agree on the resource model.
+// schedule/sched_internal.hpp, shared with the modulo scheduler so
+// both agree on the resource model.
 using sched::build_deps;
 using sched::compute_priorities;
 using sched::DepInfo;

@@ -69,14 +69,6 @@ struct SchedOptions
      * schedule.
      */
     int mii_cap = 512;
-    /**
-     * Small-block optimal oracle (--oracle-budget): branch-and-bound
-     * over ready-task orderings with at most this many explored
-     * states per block, reporting the greedy-vs-optimal makespan gap
-     * (schedule/oracle.hpp).  0 disables; the oracle never changes
-     * the emitted schedule.
-     */
-    int64_t oracle_budget = 0;
 
     /** Any best-of-N mechanism beyond the seed single pass enabled? */
     bool multi_pass() const { return sched_iters > 0 || route_select; }

@@ -5,14 +5,14 @@
  * @file
  * Internals shared by the block schedulers.
  *
- * The greedy list scheduler (event_scheduler.cpp), the cross-tile
- * modulo scheduler (modulo.cpp) and the small-block optimal oracle
- * (oracle.cpp) all operate on the same task-graph-plus-comm-paths
- * model: identical dependence bookkeeping, identical priority
- * computation, identical per-switch reservation state.  This header
- * factors those pieces out so the three schedulers cannot drift on
- * the resource model — a schedule any of them accepts reserves
- * processor slots and switch ports under exactly the same rules.
+ * The greedy list scheduler (event_scheduler.cpp) and the cross-tile
+ * modulo scheduler (modulo.cpp) both operate on the same
+ * task-graph-plus-comm-paths model: identical dependence bookkeeping,
+ * identical priority computation, identical per-switch reservation
+ * state.  This header factors those pieces out so the two schedulers
+ * cannot drift on the resource model — a schedule either of them
+ * accepts reserves processor slots and switch ports under exactly the
+ * same rules.
  */
 
 #include <cstdint>

@@ -32,6 +32,13 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/** A malformed request field; replied as `bad_request`. */
+class BadRequest : public std::runtime_error
+{
+  public:
+    using std::runtime_error::runtime_error;
+};
+
 double
 ms_between(Clock::time_point a, Clock::time_point b)
 {
@@ -256,16 +263,36 @@ struct ServeServer::Impl
         if (!o)
             return copts;
         if (!o->is_object())
-            throw FatalError("\"options\" must be an object");
-        copts.pgo = o->bool_or("pgo", false);
-        copts.smart_homes = o->bool_or("smart_homes", false);
-        copts.verify_ir = o->bool_or("verify_ir", true);
-        int64_t iters = o->int_or("sched_iters", 0);
-        if (iters < 0 || iters > 64)
-            throw FatalError("\"sched_iters\" must be in [0, 64]");
-        copts.orch.sched.sched_iters = static_cast<int>(iters);
-        copts.orch.sched.route_select =
-            o->bool_or("route_select", false);
+            throw BadRequest("\"options\" must be an object");
+        // Every key is named, typed and given once: a misspelt key, a
+        // value of the wrong type or a repeated key must not quietly
+        // compile with some other value.
+        std::set<std::string> seen;
+        for (const auto &[key, v] : o->object) {
+            if (!seen.insert(key).second)
+                throw BadRequest("option \"" + key + "\" given twice");
+            if (key == "sched_iters") {
+                if (!v.is_number() || !v.is_int || v.integer < 0 ||
+                    v.integer > 16)
+                    throw BadRequest(
+                        "\"sched_iters\" must be an integer in [0, 16]");
+                copts.orch.sched.sched_iters =
+                    static_cast<int>(v.integer);
+                continue;
+            }
+            bool *flag = key == "pgo"            ? &copts.pgo
+                         : key == "smart_homes"  ? &copts.smart_homes
+                         : key == "verify_ir"    ? &copts.verify_ir
+                         : key == "route_select"
+                             ? &copts.orch.sched.route_select
+                             : nullptr;
+            if (!flag)
+                throw BadRequest("unknown option \"" + key + "\"");
+            if (!v.is_bool())
+                throw BadRequest("option \"" + key +
+                                 "\" must be true or false");
+            *flag = v.boolean;
+        }
         return copts;
     }
 
@@ -507,6 +534,9 @@ struct ServeServer::Impl
                 do_simulate(p);
             else
                 do_stall(p);
+        } catch (const BadRequest &e) {
+            if (reply_error(p, "bad_request", e.what()))
+                count(&ServeStats::bad_requests);
         } catch (const SimTimeoutError &e) {
             if (reply_error(p, "timeout", e.what()))
                 count(&ServeStats::timeouts);

@@ -45,6 +45,17 @@ check(bool cond, const std::string &msg)
         panic(msg);
 }
 
+/**
+ * check() with a literal message: the std::string is built only on
+ * failure, so a passing check in a hot loop never allocates.
+ */
+inline void
+check(bool cond, const char *msg)
+{
+    if (!cond)
+        panic(msg);
+}
+
 } // namespace raw
 
 #endif // RAW_SUPPORT_ERROR_HPP

@@ -363,22 +363,32 @@ TEST(FifoPriority, EagerImportsNeverDeadlockRandomGraphs)
 }
 
 // ---------------------------------------------------------------
-// --pgo measured portfolio: never worse, semantics preserved.
+// --pgo measured portfolio: never worse, semantics preserved, and the
+// winning cycles pinned so a change to the race shows up here.
 
 TEST(Pgo, NeverWorseAndSemanticsPreserved)
 {
-    const BenchmarkProgram &prog = benchmark("fpppp-kernel");
+    const struct
+    {
+        const char *bench;
+        int64_t cycles;
+    } kPinned[] = {{"fpppp-kernel", 1896}, {"jacobi", 92287}};
     MachineConfig m = MachineConfig::base(4);
-    RunResult plain =
-        run_rawcc(prog.source, m, prog.check_array);
     CompilerOptions opts;
     opts.pgo = true;
-    RunResult tuned =
-        run_rawcc_pgo(prog.source, m, prog.check_array, opts);
-    EXPECT_LE(tuned.cycles, plain.cycles)
-        << "pgo portfolio must keep the plain compile as candidate 0";
-    EXPECT_EQ(tuned.check_words, plain.check_words);
-    EXPECT_EQ(tuned.prints, plain.prints);
+    for (const auto &pin : kPinned) {
+        const BenchmarkProgram &prog = benchmark(pin.bench);
+        RunResult plain = run_rawcc(prog.source, m, prog.check_array);
+        RunResult tuned =
+            run_rawcc(prog.source, m, prog.check_array, opts);
+        EXPECT_LE(tuned.cycles, plain.cycles)
+            << pin.bench
+            << ": pgo portfolio must keep the plain compile as "
+               "candidate 0";
+        EXPECT_EQ(tuned.cycles, pin.cycles) << pin.bench;
+        EXPECT_EQ(tuned.check_words, plain.check_words) << pin.bench;
+        EXPECT_EQ(tuned.prints, plain.prints) << pin.bench;
+    }
 }
 
 } // namespace

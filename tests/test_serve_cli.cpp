@@ -182,6 +182,58 @@ TEST(ServeCli, RejectsGarbageLinesWithoutDying)
     EXPECT_EQ(d.stop(), 0);
 }
 
+// Compile options are validated, not defaulted: an unknown key, a
+// value of the wrong type, a non-integer or out-of-range sched_iters
+// and a repeated key each get bad_request, on compile and simulate.
+TEST(ServeCli, RejectsBadCompileOptions)
+{
+    ServeDaemon d;
+    d.start(RAWCC_BIN, {"--socket", test_sock("options"), "--workers",
+                        "1", "--queue-depth", "2"});
+    ServeClient c;
+    c.connect(d.endpoint());
+
+    const char *kBad[] = {
+        "[]",
+        "{\"route_selct\":true}",
+        "{\"route_select\":\"yes\"}",
+        "{\"pgo\":1}",
+        "{\"smart_homes\":null}",
+        "{\"verify_ir\":\"false\"}",
+        "{\"sched_iters\":2.5}",
+        "{\"sched_iters\":\"2\"}",
+        "{\"sched_iters\":-1}",
+        "{\"sched_iters\":17}",
+        "{\"sched_iters\":64}",
+        "{\"route_select\":true,\"route_select\":false}",
+    };
+    int64_t bad = 0;
+    for (const char *opts : kBad)
+        for (const char *op : {"compile", "simulate"}) {
+            Json r = c.request(std::string("{\"op\":\"") + op +
+                                   "\",\"bench\":\"jacobi\","
+                                   "\"tiles\":4,\"options\":" +
+                                   opts + "}",
+                               15000);
+            EXPECT_FALSE(r.bool_or("ok", true)) << op << " " << opts;
+            EXPECT_EQ(r.str_or("error", ""), "bad_request")
+                << op << " " << opts << ": " << r.str_or("message", "");
+            bad++;
+        }
+    EXPECT_EQ(c.request("{\"op\":\"stats\"}", 2000)
+                  .int_or("bad_requests", -1),
+              bad);
+
+    // Every key at a valid value still compiles.
+    Json ok = c.request(
+        "{\"op\":\"compile\",\"bench\":\"jacobi\",\"tiles\":4,"
+        "\"options\":{\"route_select\":true,\"sched_iters\":16,"
+        "\"pgo\":false,\"smart_homes\":false,\"verify_ir\":true}}",
+        30000);
+    EXPECT_TRUE(ok.bool_or("ok", false)) << ok.str_or("message", "");
+    EXPECT_EQ(d.stop(), 0);
+}
+
 } // namespace
 } // namespace serve
 } // namespace raw

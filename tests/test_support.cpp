@@ -1,15 +1,46 @@
 /**
  * @file
  * Unit tests for support utilities: gcd/lcm, floor_mod, the
- * modular-congruence algebra underpinning affine staticization, and
- * the epoch-stamped dense table.
+ * modular-congruence algebra underpinning affine staticization, the
+ * epoch-stamped dense table, and check()'s allocation-free success path.
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdlib>
+#include <new>
+
 #include "support/error.hpp"
 #include "support/mathutil.hpp"
 #include "support/stamped_table.hpp"
+
+// Counts every allocation through the global operator new, so a test
+// can assert that a code path allocates nothing.  The replacements
+// stay out of line: GCC otherwise pairs the inlined free() with the
+// operator new call site and warns of a mismatched deallocation.
+static std::atomic<long> g_allocs{0};
+
+__attribute__((noinline)) void *
+operator new(std::size_t n)
+{
+    g_allocs.fetch_add(1, std::memory_order_relaxed);
+    if (void *p = std::malloc(n ? n : 1))
+        return p;
+    throw std::bad_alloc();
+}
+
+__attribute__((noinline)) void
+operator delete(void *p) noexcept
+{
+    std::free(p);
+}
+
+__attribute__((noinline)) void
+operator delete(void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
 
 namespace raw {
 namespace {
@@ -143,6 +174,24 @@ TEST(Error, FatalAndPanic)
     EXPECT_THROW(panic("bug"), PanicError);
     EXPECT_NO_THROW(check(true, "fine"));
     EXPECT_THROW(check(false, "bad"), PanicError);
+}
+
+// A literal message longer than the small-string buffer: the passing
+// checks must not build it, the failing one must still carry it.
+TEST(Error, LiteralCheckAllocatesOnlyOnFailure)
+{
+    const char *kMsg = "a literal message well past the small-string buffer";
+    const long before = g_allocs.load();
+    for (int i = 0; i < 100; i++)
+        check(i >= 0, kMsg);
+    const long allocs = g_allocs.load() - before;
+    EXPECT_EQ(allocs, 0);
+    try {
+        check(false, kMsg);
+        ADD_FAILURE() << "check(false, ...) must panic";
+    } catch (const PanicError &e) {
+        EXPECT_EQ(std::string(e.what()), std::string("panic: ") + kMsg);
+    }
 }
 
 // Entries live until the next clear, which empties the table without

@@ -45,23 +45,20 @@
  *   --modulo           software-pipeline loop blocks (cross-tile
  *                      modulo scheduling; greedy stays the fallback)
  *   --mii-cap N        initiation-interval search cap (default 512)
- *   --oracle-budget N  branch-and-bound states per small block for
- *                      the optimal-schedule oracle report (0 = off)
- *   --sim-backend B    execution core: reference | threaded
+ *   --sim-backend B    execution core: reference | threaded | region
  *   --sim-diff         run both backends, require identical results
  *   --pgo              profile-guided placement (compile, simulate,
  *                      recompile around the measured congestion)
  *   --list-benchmarks  list the built-in Table 2 programs
+ *   --help, -h         print the usage summary to stdout
  *
  * The input is a rawc source file, or the name of a built-in
  * benchmark (life, vpenta, cholesky, tomcatv, fpppp-kernel, mxm,
- * jacobi).
+ * jacobi).  An unknown flag, a flag missing its value or a bad value,
+ * and a second input all exit 2 before anything is compiled.
  */
 
-#include <cerrno>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -78,51 +75,22 @@
 
 namespace {
 
-void
-usage()
-{
-    std::fprintf(
-        stderr,
-        "usage: rawcc [options] <file.rawc | benchmark>\n"
-        "  --tiles N --config base|inf-reg|1-cycle --baseline\n"
-        "  --dump-ir --disasm --stats --no-run --speedup\n"
-        "  --profile --trace-out FILE\n"
-        "  --miss-rate R --miss-penalty P --seed S\n"
-        "  --route-stall-rate R --route-stall-cycles P\n"
-        "  --dyn-delay-rate R --dyn-delay-cycles P --jitter-rate R\n"
-        "  --check --fault-campaign N --campaign-out FILE\n"
-        "  --point-timeout MS --jobs N\n"
-        "  --cache-dir DIR --no-sched-cache\n"
-        "  --no-unroll --no-replication --no-port-fold\n"
-        "  --sched-iters N --route-select --pgo\n"
-        "  --modulo --mii-cap N --oracle-budget N\n"
-        "  --sim-backend reference|threaded|region --sim-diff\n"
-        "  --list-benchmarks\n");
-}
-
-[[noreturn]] void
-bad_value(const char *flag, const char *got, const char *want)
-{
-    raw::cli::bad_value("rawcc", flag, got, want);
-}
-
-long
-parse_long(const char *s, const char *flag)
-{
-    return raw::cli::parse_long("rawcc", s, flag);
-}
-
-unsigned long long
-parse_u64(const char *s, const char *flag)
-{
-    return raw::cli::parse_u64("rawcc", s, flag);
-}
-
-double
-parse_double(const char *s, const char *flag)
-{
-    return raw::cli::parse_double("rawcc", s, flag);
-}
+const char kUsage[] =
+    "usage: rawcc [options] <file.rawc | benchmark>\n"
+    "  --tiles N --config base|inf-reg|1-cycle --baseline\n"
+    "  --dump-ir --disasm --stats --no-run --speedup\n"
+    "  --profile --trace-out FILE\n"
+    "  --miss-rate R --miss-penalty P --seed S\n"
+    "  --route-stall-rate R --route-stall-cycles P\n"
+    "  --dyn-delay-rate R --dyn-delay-cycles P --jitter-rate R\n"
+    "  --check --fault-campaign N --campaign-out FILE\n"
+    "  --point-timeout MS --jobs N\n"
+    "  --cache-dir DIR --no-sched-cache\n"
+    "  --no-unroll --no-replication --no-port-fold\n"
+    "  --sched-iters N --route-select --pgo\n"
+    "  --modulo --mii-cap N\n"
+    "  --sim-backend reference|threaded|region --sim-diff\n"
+    "  --list-benchmarks --help\n";
 
 /** Compile-throughput report: stage timings + schedule-cache traffic. */
 void
@@ -183,8 +151,8 @@ main(int argc, char **argv)
     if (argc >= 2 && std::string(argv[1]) == "serve")
         return serve::serve_main(argc - 2, argv + 2);
 
-    long tiles = 4;
-    std::string config = "base";
+    int tiles = 4;
+    MachineConfig (*make_machine)(int) = &MachineConfig::base;
     std::string input;
     std::string trace_out;
     bool baseline = false, dump_ir = false, disasm = false;
@@ -195,126 +163,112 @@ main(int argc, char **argv)
     CheckConfig checks;
     SimBackend sim_backend = SimBackend::kReference;
     bool sim_diff = false;
-    long fault_campaign = 0;
-    long point_timeout = 0;
-    long jobs = 0;
+    int fault_campaign = 0;
+    int point_timeout = 0;
+    int jobs = 0;
     std::string campaign_out;
 
-    for (int i = 1; i < argc; i++) {
-        std::string a = argv[i];
-        auto next = [&]() -> const char * {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr,
-                             "rawcc: %s requires an argument\n",
-                             a.c_str());
-                usage();
-                std::exit(2);
-            }
-            return argv[++i];
-        };
-        // NaN-proof: !(v in [0,1]) rejects NaN, which every
-        // comparison-based range check silently accepts.
-        auto parse_rate = [&](const char *flag) {
-            double v = parse_double(next(), flag);
-            if (!(v >= 0.0 && v <= 1.0))
-                bad_value(flag, argv[i], "a probability in [0,1]");
-            return v;
-        };
-        auto parse_cycles = [&](const char *flag) {
-            long p = parse_long(next(), flag);
-            if (p < 0 || p > 1000000)
-                bad_value(flag, argv[i],
-                          "a cycle count in 0..1000000");
-            return static_cast<int>(p);
-        };
-        if (a == "--tiles") {
-            tiles = raw::cli::parse_tiles("rawcc", next(), "--tiles");
-        } else if (a == "--config")
-            config = next();
-        else if (a == "--baseline")
+    const char *const kTool = "rawcc";
+    cli::Args args(kTool, kUsage, argc, argv);
+    // NaN-proof: !(v in [0,1]) rejects NaN, which every
+    // comparison-based range check silently accepts.
+    auto parse_rate = [&](const char *flag) {
+        const char *s = args.value();
+        double v = cli::parse_double(kTool, s, flag);
+        if (!(v >= 0.0 && v <= 1.0))
+            cli::bad_value(kTool, flag, s, "a probability in [0,1]");
+        return v;
+    };
+    auto parse_int_in = [&](const char *flag, long lo, long hi,
+                            const char *want) {
+        return static_cast<int>(
+            cli::parse_long_in(kTool, args.value(), flag, lo, hi, want));
+    };
+    auto parse_cycles = [&](const char *flag) {
+        return parse_int_in(flag, 0, 1000000,
+                            "a cycle count in 0..1000000");
+    };
+    while (args.next()) {
+        if (args.is("--tiles"))
+            tiles = static_cast<int>(
+                cli::parse_tiles(kTool, args.value(), "--tiles"));
+        else if (args.is("--config")) {
+            std::string c = args.value();
+            if (c == "base")
+                make_machine = &MachineConfig::base;
+            else if (c == "inf-reg")
+                make_machine = &MachineConfig::inf_reg;
+            else if (c == "1-cycle")
+                make_machine = &MachineConfig::one_cycle;
+            else
+                cli::bad_value(kTool, "--config", c.c_str(),
+                               "base, inf-reg or 1-cycle");
+        } else if (args.is("--baseline"))
             baseline = true;
-        else if (a == "--dump-ir")
+        else if (args.is("--dump-ir"))
             dump_ir = true;
-        else if (a == "--disasm")
+        else if (args.is("--disasm"))
             disasm = true;
-        else if (a == "--stats")
+        else if (args.is("--stats"))
             stats = true;
-        else if (a == "--no-run")
+        else if (args.is("--no-run"))
             do_run = false;
-        else if (a == "--speedup")
+        else if (args.is("--speedup"))
             speedup = true;
-        else if (a == "--profile")
+        else if (args.is("--profile"))
             profile = true;
-        else if (a == "--trace-out")
-            trace_out = next();
-        else if (a == "--miss-rate")
+        else if (args.is("--trace-out"))
+            trace_out = args.value();
+        else if (args.is("--miss-rate"))
             faults.miss_rate = parse_rate("--miss-rate");
-        else if (a == "--miss-penalty")
+        else if (args.is("--miss-penalty"))
             faults.penalty = parse_cycles("--miss-penalty");
-        else if (a == "--seed")
-            faults.seed = parse_u64(next(), "--seed");
-        else if (a == "--route-stall-rate")
+        else if (args.is("--seed"))
+            faults.seed = cli::parse_u64(kTool, args.value(), "--seed");
+        else if (args.is("--route-stall-rate"))
             faults.route_stall_rate = parse_rate("--route-stall-rate");
-        else if (a == "--route-stall-cycles")
+        else if (args.is("--route-stall-cycles"))
             faults.route_stall_cycles =
                 parse_cycles("--route-stall-cycles");
-        else if (a == "--dyn-delay-rate")
+        else if (args.is("--dyn-delay-rate"))
             faults.dyn_delay_rate = parse_rate("--dyn-delay-rate");
-        else if (a == "--dyn-delay-cycles")
-            faults.dyn_delay_cycles =
-                parse_cycles("--dyn-delay-cycles");
-        else if (a == "--jitter-rate")
+        else if (args.is("--dyn-delay-cycles"))
+            faults.dyn_delay_cycles = parse_cycles("--dyn-delay-cycles");
+        else if (args.is("--jitter-rate"))
             faults.jitter_rate = parse_rate("--jitter-rate");
-        else if (a == "--check") {
+        else if (args.is("--check")) {
             checks.provenance = true;
             checks.fifo_bounds = true;
-        } else if (a == "--fault-campaign") {
-            fault_campaign = parse_long(next(), "--fault-campaign");
-            if (fault_campaign <= 0 || fault_campaign > 100000)
-                bad_value("--fault-campaign", argv[i],
-                          "a point count in 1..100000");
-        } else if (a == "--campaign-out")
-            campaign_out = next();
-        else if (a == "--point-timeout") {
-            point_timeout = parse_long(next(), "--point-timeout");
-            if (point_timeout <= 0 || point_timeout > 86400000)
-                bad_value("--point-timeout", argv[i],
-                          "a budget in milliseconds (1..86400000)");
-        }
-        else if (a == "--jobs") {
-            jobs = parse_long(next(), "--jobs");
-            if (jobs < 0 || jobs > 4096)
-                bad_value("--jobs", argv[i],
-                          "a worker count in 0..4096");
-            opts.orch.jobs = static_cast<int>(jobs);
-        } else if (a == "--cache-dir")
-            opts.orch.cache_dir = next();
-        else if (a == "--no-sched-cache")
+        } else if (args.is("--fault-campaign"))
+            fault_campaign = parse_int_in("--fault-campaign", 1, 100000,
+                                          "a point count in 1..100000");
+        else if (args.is("--campaign-out"))
+            campaign_out = args.value();
+        else if (args.is("--point-timeout"))
+            point_timeout =
+                parse_int_in("--point-timeout", 1, 86400000,
+                             "a budget in milliseconds (1..86400000)");
+        else if (args.is("--jobs")) {
+            jobs = parse_int_in("--jobs", 0, 4096,
+                                "a worker count in 0..4096");
+            opts.orch.jobs = jobs;
+        } else if (args.is("--cache-dir"))
+            opts.orch.cache_dir = args.value();
+        else if (args.is("--no-sched-cache"))
             opts.orch.use_cache = false;
-        else if (a == "--sched-iters") {
-            long n = parse_long(next(), "--sched-iters");
-            if (n < 0 || n > 16)
-                bad_value("--sched-iters", argv[i],
-                          "a pass count in 0..16");
-            opts.orch.sched.sched_iters = static_cast<int>(n);
-        } else if (a == "--route-select")
+        else if (args.is("--sched-iters"))
+            opts.orch.sched.sched_iters = parse_int_in(
+                "--sched-iters", 0, 16, "a pass count in 0..16");
+        else if (args.is("--route-select"))
             opts.orch.sched.route_select = true;
-        else if (a == "--modulo")
+        else if (args.is("--modulo"))
             opts.orch.sched.modulo = true;
-        else if (a == "--mii-cap") {
-            long n = parse_long(next(), "--mii-cap");
-            if (n < 1 || n > 65536)
-                bad_value("--mii-cap", argv[i],
-                          "an initiation-interval cap in 1..65536");
-            opts.orch.sched.mii_cap = static_cast<int>(n);
-        } else if (a == "--oracle-budget") {
-            long n = parse_long(next(), "--oracle-budget");
-            if (n < 0 || n > 100000000)
-                bad_value("--oracle-budget", argv[i],
-                          "a state budget in 0..100000000");
-            opts.orch.sched.oracle_budget = n;
-        } else if (a == "--sim-backend") {
-            std::string b = next();
+        else if (args.is("--mii-cap"))
+            opts.orch.sched.mii_cap =
+                parse_int_in("--mii-cap", 1, 65536,
+                             "an initiation-interval cap in 1..65536");
+        else if (args.is("--sim-backend")) {
+            std::string b = args.value();
             if (b == "reference")
                 sim_backend = SimBackend::kReference;
             else if (b == "threaded")
@@ -322,36 +276,35 @@ main(int argc, char **argv)
             else if (b == "region")
                 sim_backend = SimBackend::kRegion;
             else
-                bad_value("--sim-backend", argv[i],
-                          "reference, threaded or region");
-        } else if (a == "--sim-diff")
+                cli::bad_value(kTool, "--sim-backend", b.c_str(),
+                               "reference, threaded or region");
+        } else if (args.is("--sim-diff"))
             sim_diff = true;
-        else if (a == "--pgo")
+        else if (args.is("--pgo"))
             opts.pgo = true;
-        else if (a == "--no-unroll")
+        else if (args.is("--no-unroll"))
             opts.unroll.enable = false;
-        else if (a == "--no-replication")
+        else if (args.is("--no-replication"))
             opts.orch.enable_replication = false;
-        else if (a == "--no-port-fold")
+        else if (args.is("--no-port-fold"))
             opts.orch.fold_ports = false;
-        else if (a == "--list-benchmarks") {
+        else if (args.is("--list-benchmarks")) {
             for (const BenchmarkProgram &b : benchmark_suite())
                 std::printf("%-14s %s\n", b.name.c_str(),
                             b.description.c_str());
             return 0;
-        } else if (a == "--help" || a == "-h") {
-            usage();
-            return 0;
-        } else if (!a.empty() && a[0] == '-') {
-            std::fprintf(stderr, "unknown option %s\n", a.c_str());
-            usage();
+        } else if (args.flag()[0] == '-')
+            args.unknown();
+        else if (!input.empty()) {
+            std::fprintf(stderr,
+                         "rawcc: more than one input ('%s' and '%s')\n%s",
+                         input.c_str(), args.flag(), kUsage);
             return 2;
-        } else {
-            input = a;
-        }
+        } else
+            input = args.flag();
     }
     if (input.empty()) {
-        usage();
+        std::fputs(kUsage, stderr);
         return 2;
     }
 
@@ -359,29 +312,19 @@ main(int argc, char **argv)
         if (!opts.orch.cache_dir.empty())
             validate_cache_dir(opts.orch.cache_dir);
         std::string src = load_input(input);
-        int n_tiles = static_cast<int>(tiles);
-        MachineConfig machine;
-        if (config == "base")
-            machine = MachineConfig::base(n_tiles);
-        else if (config == "inf-reg")
-            machine = MachineConfig::inf_reg(n_tiles);
-        else if (config == "1-cycle")
-            machine = MachineConfig::one_cycle(n_tiles);
-        else
-            fatal("unknown config: " + config);
+        MachineConfig machine = make_machine(tiles);
 
         if (fault_campaign > 0) {
             // Campaign mode: the input must name a built-in
             // benchmark; benchmark() rejects anything else.
             CampaignReport rep = run_fault_campaign(
-                input, machine, static_cast<int>(fault_campaign),
-                faults.seed, static_cast<int>(jobs), opts,
+                input, machine, fault_campaign, faults.seed, jobs, opts,
                 point_timeout);
             std::printf("%s\n", rep.summary().c_str());
             std::string path =
                 campaign_out.empty()
                     ? "campaign_" + input + "_n" +
-                          std::to_string(n_tiles) + ".json"
+                          std::to_string(tiles) + ".json"
                     : campaign_out;
             std::ofstream js(path);
             if (!js)
@@ -393,13 +336,7 @@ main(int argc, char **argv)
         }
 
         CompileOutput out =
-            baseline ? compile_baseline_for(
-                           src, config == "base"
-                                    ? MachineConfig::base(1)
-                                    : (config == "inf-reg"
-                                           ? MachineConfig::inf_reg(1)
-                                           : MachineConfig::one_cycle(
-                                                 1)))
+            baseline ? compile_baseline_for(src, make_machine(1))
                      : compile_source(src, machine, opts);
 
         if (dump_ir)
@@ -444,18 +381,6 @@ main(int argc, char **argv)
                         static_cast<long long>(p.rec_mii),
                         static_cast<long long>(p.flat_mii),
                         p.pipelined ? " [pipelined]" : "");
-            }
-            if (!out.stats.oracle_reports.empty()) {
-                int proved = 0;
-                int64_t gap = 0;
-                for (const auto &o : out.stats.oracle_reports) {
-                    proved += o.proved_optimal ? 1 : 0;
-                    gap += o.greedy_makespan - o.best_makespan;
-                }
-                std::printf("oracle blocks:       %zu (%d proved, "
-                            "total gap %lld cycles)\n",
-                            out.stats.oracle_reports.size(), proved,
-                            static_cast<long long>(gap));
             }
             print_compile_timing(out.stats);
         }
