@@ -458,11 +458,9 @@ write_json(const std::string &path, const std::vector<RunTiming> &runs,
         out << buf;
         std::snprintf(
             buf, sizeof(buf),
-            "    \"warm_cache\": {\"hits\": %lld, \"misses\": %lld, "
-            "\"disk_hits\": %lld},\n",
+            "    \"warm_cache\": {\"hits\": %lld, \"misses\": %lld},\n",
             static_cast<long long>(pgo.warm_cache.hits()),
-            static_cast<long long>(pgo.warm_cache.misses()),
-            static_cast<long long>(pgo.warm_cache.disk_hits));
+            static_cast<long long>(pgo.warm_cache.misses()));
         out << buf;
         out << "    \"points\": [";
         for (size_t i = 0; i < pgo.names.size(); i++) {

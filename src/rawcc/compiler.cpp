@@ -417,6 +417,10 @@ compile_source(const std::string &source, const MachineConfig &machine,
         // own, and every other candidate orchestrates a copy of the
         // prepared IR.  Each candidate's stats still carry the
         // frontend timings that produced its IR.
+        //
+        // The race simulates on the threaded core: every core yields
+        // bit-identical cycles and profiles (tests/test_sim_backend),
+        // and the threaded one gets there several times faster.
         std::vector<std::pair<std::string, FrontendResult>> fronts;
         auto compile_cand = [&](const CompilerOptions &co) {
             const UnrollOptions &u = co.unroll;
@@ -442,7 +446,7 @@ compile_source(const std::string &source, const MachineConfig &machine,
         CompilerOptions probe_opts = opts;
         probe_opts.pgo = false;
         CompileOutput best = compile_cand(probe_opts);
-        Simulator sim(best.program);
+        Simulator sim(best.program, {}, {}, SimBackend::kThreaded);
         SimResult measured = sim.run();
         int64_t best_cycles = measured.cycles;
         PlacementFeedback fb =
@@ -463,7 +467,8 @@ compile_source(const std::string &source, const MachineConfig &machine,
                 if (kv.first == d)
                     cycles = kv.second;
             if (cycles < 0) {
-                Simulator csim(cand.program);
+                Simulator csim(cand.program, {}, {},
+                               SimBackend::kThreaded);
                 cycles = csim.run().cycles;
                 simmed.emplace_back(d, cycles);
             }

@@ -479,8 +479,6 @@ orchestrate(Function &fn, const MachineConfig &machine,
         any_bcast = true;
     }
 
-    const bool use_cache = opts.use_cache || !opts.cache_dir.empty();
-    const std::string &dir = opts.cache_dir;
     SchedCache &cache = SchedCache::instance();
 
     // Per-block working state.  Each parallel job owns exactly its
@@ -517,16 +515,14 @@ orchestrate(Function &fn, const MachineConfig &machine,
     // ---- Phase 1 (parallel): partition every block. -------------
     Clock::time_point t_part = Clock::now();
     run_parallel(n_blocks, n_threads, [&](int b) {
-        if (use_cache) {
+        if (opts.use_cache) {
             canons[b] = block_canon(fn, b, tails[b].instrs, pseq[b]);
-            // Key text is only needed for disk-tier byte verification.
             part_keys[b] = block_partition_key(
                 fn, b, tails[b].instrs, canons[b], machine,
                 vp.data.homes, repl, live, svreg_of,
-                static_cast<int>(svreg.size()), opts.partition,
-                /*want_text=*/!dir.empty());
-            pentries[b] = cache.get_part(part_keys[b], dir,
-                                         need_probe, ctr[b]);
+                static_cast<int>(svreg.size()), opts.partition);
+            pentries[b] =
+                cache.get_part(part_keys[b], need_probe, ctr[b]);
             if (pentries[b]) {
                 const PartEntry &e = *pentries[b];
                 parts[b].tile_of.assign(e.tile_of.begin(),
@@ -551,7 +547,7 @@ orchestrate(Function &fn, const MachineConfig &machine,
                     probes[b][h.tile] = 1;
             }
         }
-        if (use_cache) {
+        if (opts.use_cache) {
             auto e = std::make_shared<PartEntry>();
             e->tile_of.assign(parts[b].tile_of.begin(),
                               parts[b].tile_of.end());
@@ -578,7 +574,7 @@ orchestrate(Function &fn, const MachineConfig &machine,
             }
             for (const auto &[k, n] : votes)
                 e->votes.push_back({k.first, k.second, n});
-            cache.put_part(part_keys[b], dir, e, ctr[b]);
+            cache.put_part(part_keys[b], *e);
             pentries[b] = e;
         }
     });
@@ -647,18 +643,17 @@ orchestrate(Function &fn, const MachineConfig &machine,
     run_parallel(n_blocks, n_threads, [&](int b) {
         const Instr &term = fn.blocks[b].terminator();
         BlockKey skey;
-        if (use_cache) {
+        if (opts.use_cache) {
             skey = block_schedule_key(part_keys[b], opts.sched,
                                       vp.switch_active);
             if (std::shared_ptr<const std::string> blob =
-                    cache.get_sched(skey, dir, ctr[b])) {
-                if (rehydrate_sched_payload(*blob, canons[b], term,
-                                            makespans[b], busys[b],
-                                            pstats[b], btiles[b],
-                                            bswitches[b]))
-                    return;
-                // Undecodable payload (stale survivor): recompute
-                // below and re-put a fresh entry.
+                    cache.get_sched(skey, ctr[b])) {
+                check(rehydrate_sched_payload(*blob, canons[b], term,
+                                              makespans[b], busys[b],
+                                              pstats[b], btiles[b],
+                                              bswitches[b]),
+                      "schedcache: resident schedule entry unparsable");
+                return;
             }
         }
         const TaskGraph &g = ensure_graph(b);
@@ -686,11 +681,10 @@ orchestrate(Function &fn, const MachineConfig &machine,
         emit_block_streams(fn, b, g, sched, tails[b], repl, svreg,
                            vp.switch_active, pseq[b], machine,
                            btiles[b], bswitches[b]);
-        if (use_cache) {
-            auto e = std::make_shared<SchedEntry>(dehydrate_streams(
-                canons[b], term, sched, btiles[b], bswitches[b]));
-            cache.put_sched(skey, dir, e, ctr[b]);
-        }
+        if (opts.use_cache)
+            cache.put_sched(skey,
+                            dehydrate_streams(canons[b], term, sched,
+                                              btiles[b], bswitches[b]));
     });
     vp.schedule_phase_ms = ms_since(t_sched);
 

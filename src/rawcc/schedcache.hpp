@@ -32,11 +32,9 @@
  *    streams of the block), keyed by the partition key + event
  *    scheduler options + the global switch-activity vector.
  *
- * Tiers: a process-wide in-memory map (bounded; insertions stop at
- * the cap) and an opt-in on-disk tier (--cache-dir) whose entries
- * carry a format version stamp, the full key and a checksum —
- * mismatch, truncation or corruption of any kind degrades to a clean
- * recompute and the entry is rewritten.  Both tiers store entries in
+ * One tier: a process-wide in-memory map, bounded (insertions stop at
+ * the cap) and living exactly as long as the process, so an entry is
+ * always produced by the code that reads it.  Entries are stored in
  * serialized form, one flat buffer per entry, parsed on hit: keeping
  * hundreds of thousands of structured entries (nested stream/route
  * vectors) resident degraded the allocator for the whole process.
@@ -56,9 +54,6 @@
 #include "sim/isa.hpp"
 
 namespace raw {
-
-/** Bump whenever key construction or payload layout changes. */
-extern const char *const kSchedCacheVersion;
 
 /**
  * Canonical per-block renumbering of value and array ids, in order of
@@ -89,19 +84,15 @@ struct BlockCanon
 
 /**
  * A content-addressed cache key: a 128-bit digest (two independent
- * FNV-1a streams over the canonical content) plus, optionally, the
- * full canonical text.  The in-memory tier is keyed by the digest
- * alone — at 128 bits an accidental collision is negligible even
- * across billions of entries, and hashing/compare of multi-kilobyte
- * key strings was the dominant cost of warm compiles.  The text is
- * materialized only when the on-disk tier is active, which embeds it
- * in each entry file and byte-verifies it on read.
+ * FNV-1a streams over the canonical content).  At 128 bits an
+ * accidental collision is negligible even across billions of
+ * entries, and hashing/compare of multi-kilobyte canonical key
+ * strings was the dominant cost of warm compiles.
  */
 struct BlockKey
 {
     uint64_t h1 = 0;
     uint64_t h2 = 0;
-    std::string text;
 };
 
 /** Cached result of the partition stage of one block. */
@@ -173,8 +164,7 @@ BlockCanon block_canon(const Function &fn, int b,
  * (base, dynamic-pin residue), entry congruence facts, machine
  * configuration and partition options.  @p svreg_count is the total
  * number of bound switch registers (it fixes where switch-temp
- * recycling starts during emission).  @p want_text additionally
- * materializes the canonical key text (needed by the disk tier).
+ * recycling starts during emission).
  */
 BlockKey block_partition_key(const Function &fn, int b,
                              const std::vector<VInstr> &tail,
@@ -185,13 +175,11 @@ BlockKey block_partition_key(const Function &fn, int b,
                              const VarLiveness &live,
                              const std::vector<int> &svreg_of,
                              int svreg_count,
-                             const PartitionOptions &popts,
-                             bool want_text);
+                             const PartitionOptions &popts);
 
 /**
  * Schedule-stage key: partition key + scheduler options + context.
- * The digest continues the partition key's streams; text is carried
- * over (and extended) only if the partition key has it.
+ * The digest continues the partition key's streams.
  */
 BlockKey block_schedule_key(const BlockKey &part_key,
                             const SchedOptions &sopts,
@@ -213,8 +201,8 @@ SchedEntry dehydrate_streams(const BlockCanon &canon, const Instr &term,
  * rebased, terminator slots resolved via @p term).  Fusing decode
  * and rehydration skips the intermediate SchedEntry — the hit path
  * runs once per block per compile, and the temporary's nested
- * vectors were most of its cost.  Returns false on a payload this
- * version cannot decode (caller recomputes and overwrites).
+ * vectors were most of its cost.  Returns false on a malformed
+ * payload.
  */
 bool rehydrate_sched_payload(const std::string &payload,
                              const BlockCanon &canon, const Instr &term,
@@ -235,37 +223,26 @@ class SchedCache
     static SchedCache &instance();
 
     /**
-     * Look up a partition / schedule entry: memory first, then the
-     * on-disk tier when @p dir is non-empty.  Returns nullptr on
-     * miss.  @p c accumulates hit/miss/traffic counters.  An entry
-     * whose switch-probe mask is absent counts as a miss when
-     * @p need_probe is set.
+     * Look up a partition / schedule entry; nullptr on miss.  @p c
+     * accumulates hit/miss counters.  An entry whose switch-probe
+     * mask is absent counts as a miss when @p need_probe is set.
      */
     std::shared_ptr<const PartEntry>
-    get_part(const BlockKey &key, const std::string &dir,
-             bool need_probe, SchedCacheCounters &c);
+    get_part(const BlockKey &key, bool need_probe,
+             SchedCacheCounters &c);
     /**
      * A schedule hit returns the serialized payload; callers feed it
      * to rehydrate_sched_payload, so a hit never materializes a
      * structured entry.
      */
     std::shared_ptr<const std::string>
-    get_sched(const BlockKey &key, const std::string &dir,
-              SchedCacheCounters &c);
+    get_sched(const BlockKey &key, SchedCacheCounters &c);
 
-    /**
-     * Insert into memory and, when @p dir is non-empty, disk.  Disk
-     * writes require the key's text (callers build keys with
-     * want_text whenever a cache dir is configured).
-     */
-    void put_part(const BlockKey &key, const std::string &dir,
-                  std::shared_ptr<const PartEntry> e,
-                  SchedCacheCounters &c);
-    void put_sched(const BlockKey &key, const std::string &dir,
-                   std::shared_ptr<const SchedEntry> e,
-                   SchedCacheCounters &c);
+    /** Insert an entry (first insert of a key wins). */
+    void put_part(const BlockKey &key, const PartEntry &e);
+    void put_sched(const BlockKey &key, const SchedEntry &e);
 
-    /** Drop every in-memory entry (tests; disk is untouched). */
+    /** Drop every entry. */
     void clear_memory();
 
     /** Approximate bytes held by the in-memory tier. */
@@ -277,13 +254,6 @@ class SchedCache
   private:
     SchedCache() = default;
 };
-
-/**
- * Validate @p dir for use as --cache-dir: create it if missing and
- * prove it writable with a probe file.  Throws FatalError with a
- * clear message otherwise.
- */
-void validate_cache_dir(const std::string &dir);
 
 } // namespace raw
 

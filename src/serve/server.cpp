@@ -45,6 +45,228 @@ ms_between(Clock::time_point a, Clock::time_point b)
     return std::chrono::duration<double, std::milli>(b - a).count();
 }
 
+/**
+ * The fields of one request, read once at the front door by
+ * parse_request(): every value is typed and range-checked before the
+ * request is admitted, so a worker never sees a malformed field.
+ */
+struct Request
+{
+    std::string id; ///< echoed "id", may be empty
+    std::string op;
+    int64_t timeout_ms = 0; ///< 0: the daemon's --timeout
+    /** Inline "source" text, or the source of the named "bench". */
+    std::string source;
+    MachineConfig machine = MachineConfig::base(4);
+    CompilerOptions copts;
+    FaultConfig faults;
+    CheckConfig checks;
+    SimBackend backend = SimBackend::kReference;
+    int64_t max_cycles = 2000000000LL;
+    int64_t stall_ms = 100;
+};
+
+/**
+ * Walk the members of object @p o, named @p what in messages: each
+ * key is handed once to @p field, which throws BadRequest for a key
+ * it does not know or a value of the wrong type or range.  A bad
+ * member does not stop the walk — the request's well-formed "id" and
+ * "op" are still read and echoed — but the first problem found is
+ * thrown once the walk ends.
+ */
+template <typename Field>
+void
+walk_members(const Json &o, const std::string &what, Field field)
+{
+    if (!o.is_object())
+        throw BadRequest("\"" + what + "\" must be an object");
+    std::set<std::string> seen;
+    std::string first;
+    for (const auto &[key, v] : o.object) {
+        try {
+            if (!seen.insert(key).second)
+                throw BadRequest(what + " key \"" + key +
+                                 "\" given twice");
+            field(key, v);
+        } catch (const BadRequest &e) {
+            if (first.empty())
+                first = e.what();
+        }
+    }
+    if (!first.empty())
+        throw BadRequest(first);
+}
+
+const std::string &
+string_of(const std::string &key, const Json &v)
+{
+    if (!v.is_string())
+        throw BadRequest("\"" + key + "\" must be a string");
+    return v.string;
+}
+
+bool
+bool_of(const std::string &key, const Json &v)
+{
+    if (!v.is_bool())
+        throw BadRequest("\"" + key + "\" must be true or false");
+    return v.boolean;
+}
+
+int64_t
+int_in(const std::string &key, const Json &v, int64_t lo, int64_t hi)
+{
+    if (!v.is_number() || !v.is_int || v.integer < lo || v.integer > hi)
+        throw BadRequest("\"" + key + "\" must be an integer in [" +
+                         std::to_string(lo) + ", " +
+                         std::to_string(hi) + "]");
+    return v.integer;
+}
+
+double
+rate_of(const std::string &key, const Json &v)
+{
+    if (!v.is_number() || !(v.number >= 0.0 && v.number <= 1.0))
+        throw BadRequest("\"" + key + "\" must be a rate in [0, 1]");
+    return v.number;
+}
+
+void
+parse_options(const Json &o, CompilerOptions &copts)
+{
+    walk_members(o, "options", [&](const std::string &key,
+                                   const Json &v) {
+        if (key == "sched_iters") {
+            copts.orch.sched.sched_iters =
+                static_cast<int>(int_in(key, v, 0, 16));
+            return;
+        }
+        bool *flag = key == "pgo"           ? &copts.pgo
+                     : key == "smart_homes" ? &copts.smart_homes
+                     : key == "verify_ir"   ? &copts.verify_ir
+                     : key == "route_select"
+                         ? &copts.orch.sched.route_select
+                         : nullptr;
+        if (!flag)
+            throw BadRequest("unknown option \"" + key + "\"");
+        *flag = bool_of(key, v);
+    });
+}
+
+void
+parse_faults(const Json &o, FaultConfig &f)
+{
+    walk_members(o, "faults", [&](const std::string &key,
+                                  const Json &v) {
+        if (key == "miss_rate")
+            f.miss_rate = rate_of(key, v);
+        else if (key == "route_stall_rate")
+            f.route_stall_rate = rate_of(key, v);
+        else if (key == "dyn_delay_rate")
+            f.dyn_delay_rate = rate_of(key, v);
+        else if (key == "jitter_rate")
+            f.jitter_rate = rate_of(key, v);
+        else if (key == "penalty")
+            f.penalty = static_cast<int>(int_in(key, v, 0, 1000000));
+        else if (key == "seed")
+            f.seed = static_cast<uint64_t>(
+                int_in(key, v, 0, INT64_MAX));
+        else
+            throw BadRequest("unknown faults key \"" + key + "\"");
+    });
+}
+
+void
+parse_checks(const Json &o, CheckConfig &c)
+{
+    walk_members(o, "checks", [&](const std::string &key,
+                                  const Json &v) {
+        if (key == "provenance")
+            c.provenance = bool_of(key, v);
+        else if (key == "fifo_bounds")
+            c.fifo_bounds = bool_of(key, v);
+        else
+            throw BadRequest("unknown checks key \"" + key + "\"");
+    });
+}
+
+/**
+ * Read request @p body into @p r.  Throws BadRequest for an unknown
+ * key, a value of the wrong type or range, a repeated key, an
+ * unknown op, bench, machine or backend, or a compile/simulate
+ * without exactly one of "source" and "bench".
+ */
+void
+parse_request(const Json &body, Request &r)
+{
+    // Per-request concurrency comes from the worker pool, not from
+    // per-compile fan-out.
+    r.copts.orch.jobs = 1;
+    r.copts.orch.use_cache = true;
+    int64_t tiles = 4;
+    std::string machine = "base";
+    int sources = 0;
+    walk_members(body, "request", [&](const std::string &key,
+                                      const Json &v) {
+        if (key == "id")
+            r.id = string_of(key, v);
+        else if (key == "op")
+            r.op = string_of(key, v);
+        else if (key == "timeout_ms")
+            r.timeout_ms = int_in(key, v, 1, INT64_MAX);
+        else if (key == "source") {
+            r.source = string_of(key, v);
+            if (r.source.empty())
+                throw BadRequest("\"source\" must not be empty");
+            sources++;
+        } else if (key == "bench") {
+            try {
+                r.source = benchmark(string_of(key, v)).source;
+            } catch (const FatalError &e) {
+                throw BadRequest(e.what());
+            }
+            sources++;
+        } else if (key == "tiles")
+            tiles = int_in(key, v, 1, 64);
+        else if (key == "machine")
+            machine = string_of(key, v);
+        else if (key == "backend") {
+            try {
+                r.backend = sim_backend_from_string(string_of(key, v));
+            } catch (const FatalError &e) {
+                throw BadRequest(e.what());
+            }
+        } else if (key == "max_cycles")
+            r.max_cycles = int_in(key, v, 1, INT64_MAX);
+        else if (key == "ms")
+            r.stall_ms = int_in(key, v, 0, 60000);
+        else if (key == "options")
+            parse_options(v, r.copts);
+        else if (key == "faults")
+            parse_faults(v, r.faults);
+        else if (key == "checks")
+            parse_checks(v, r.checks);
+        else
+            throw BadRequest("unknown request key \"" + key + "\"");
+    });
+    if (r.op != "ping" && r.op != "stats" && r.op != "compile" &&
+        r.op != "simulate" && r.op != "stall")
+        throw BadRequest("unknown op: " +
+                         (r.op.empty() ? "(missing)" : r.op));
+    const int n = static_cast<int>(tiles);
+    if (machine == "base")
+        r.machine = MachineConfig::base(n);
+    else if (machine == "inf_reg")
+        r.machine = MachineConfig::inf_reg(n);
+    else if (machine == "one_cycle")
+        r.machine = MachineConfig::one_cycle(n);
+    else
+        throw BadRequest("unknown \"machine\": " + machine);
+    if ((r.op == "compile" || r.op == "simulate") && sources != 1)
+        throw BadRequest(
+            "request needs exactly one of \"source\" and \"bench\"");
+}
+
 /** One client connection; writes are serialized by wmu. */
 struct Conn
 {
@@ -93,9 +315,7 @@ struct Pending
 {
     std::shared_ptr<Conn> conn;
     uint64_t seq = 0;          ///< server-assigned, for logs
-    std::string client_id;     ///< echoed "id" field, may be empty
-    std::string op;
-    Json body;
+    Request req;
     Clock::time_point arrival{};
     Clock::time_point deadline{};
     std::atomic<bool> replied{false};
@@ -165,7 +385,7 @@ struct ServeServer::Impl
         if (opts.verbose)
             logf("req=%llu op=%s %s",
                  static_cast<unsigned long long>(p.seq),
-                 p.op.c_str(), what);
+                 p.req.op.c_str(), what);
     }
 
     // -- replies ------------------------------------------------
@@ -174,10 +394,10 @@ struct ServeServer::Impl
     reply_head(const Pending &p)
     {
         JsonBuilder b;
-        if (!p.client_id.empty())
-            b.kv("id", p.client_id);
+        if (!p.req.id.empty())
+            b.kv("id", p.req.id);
         b.kv("req", static_cast<int64_t>(p.seq));
-        b.kv("op", p.op);
+        b.kv("op", p.req.op);
         return b;
     }
 
@@ -193,7 +413,7 @@ struct ServeServer::Impl
         if (opts.verbose)
             logf("req=%llu op=%s error=%s %s",
                  static_cast<unsigned long long>(p.seq),
-                 p.op.c_str(), kind, msg.c_str());
+                 p.req.op.c_str(), kind, msg.c_str());
         return true;
     }
 
@@ -204,97 +424,7 @@ struct ServeServer::Impl
         st.*field += by;
     }
 
-    // -- request parsing ----------------------------------------
-
-    /** Resolve the deadline of @p body (clamped to the max). */
-    Clock::time_point
-    request_deadline(const Json &body, Clock::time_point arrival)
-    {
-        int64_t ms = body.int_or("timeout_ms", opts.default_timeout_ms);
-        if (ms <= 0)
-            ms = opts.default_timeout_ms;
-        ms = std::min(ms, opts.max_timeout_ms);
-        return arrival + std::chrono::milliseconds(ms);
-    }
-
-    /**
-     * Source text of a compile/simulate request: inline "source" or
-     * a built-in "bench" name.  Throws FatalError on bad requests.
-     */
-    static std::string
-    request_source(const Json &body)
-    {
-        const Json *src = body.find("source");
-        if (src && src->is_string() && !src->string.empty())
-            return src->string;
-        std::string bench = body.str_or("bench", "");
-        if (!bench.empty())
-            return benchmark(bench).source; // fatal if unknown
-        throw FatalError("request needs \"source\" or \"bench\"");
-    }
-
-    static MachineConfig
-    request_machine(const Json &body)
-    {
-        int64_t tiles = body.int_or("tiles", 4);
-        if (tiles < 1 || tiles > 64)
-            throw FatalError("\"tiles\" must be in [1, 64]");
-        std::string kind = body.str_or("machine", "base");
-        int n = static_cast<int>(tiles);
-        if (kind == "base")
-            return MachineConfig::base(n);
-        if (kind == "inf_reg")
-            return MachineConfig::inf_reg(n);
-        if (kind == "one_cycle")
-            return MachineConfig::one_cycle(n);
-        throw FatalError("unknown \"machine\": " + kind);
-    }
-
-    CompilerOptions
-    request_options(const Json &body)
-    {
-        CompilerOptions copts;
-        // Per-request concurrency comes from the worker pool, not
-        // from per-compile fan-out.
-        copts.orch.jobs = 1;
-        copts.orch.use_cache = true;
-        copts.orch.cache_dir = opts.cache_dir;
-        const Json *o = body.find("options");
-        if (!o)
-            return copts;
-        if (!o->is_object())
-            throw BadRequest("\"options\" must be an object");
-        // Every key is named, typed and given once: a misspelt key, a
-        // value of the wrong type or a repeated key must not quietly
-        // compile with some other value.
-        std::set<std::string> seen;
-        for (const auto &[key, v] : o->object) {
-            if (!seen.insert(key).second)
-                throw BadRequest("option \"" + key + "\" given twice");
-            if (key == "sched_iters") {
-                if (!v.is_number() || !v.is_int || v.integer < 0 ||
-                    v.integer > 16)
-                    throw BadRequest(
-                        "\"sched_iters\" must be an integer in [0, 16]");
-                copts.orch.sched.sched_iters =
-                    static_cast<int>(v.integer);
-                continue;
-            }
-            bool *flag = key == "pgo"            ? &copts.pgo
-                         : key == "smart_homes"  ? &copts.smart_homes
-                         : key == "verify_ir"    ? &copts.verify_ir
-                         : key == "route_select"
-                             ? &copts.orch.sched.route_select
-                             : nullptr;
-            if (!flag)
-                throw BadRequest("unknown option \"" + key + "\"");
-            if (!v.is_bool())
-                throw BadRequest("option \"" + key +
-                                 "\" must be true or false");
-            *flag = v.boolean;
-        }
-        return copts;
-    }
+    // -- request key --------------------------------------------
 
     static Digest
     request_digest(const std::string &source, const MachineConfig &m,
@@ -337,14 +467,12 @@ struct ServeServer::Impl
     void
     do_compile(Pending &p)
     {
-        std::string source = request_source(p.body);
-        MachineConfig machine = request_machine(p.body);
-        CompilerOptions copts = request_options(p.body);
+        const Request &r = p.req;
         Digest key;
         FlightOutcome outcome;
         Clock::time_point t0 = Clock::now();
-        FlightCache::Value out =
-            cached_compile(p, source, machine, copts, key, outcome);
+        FlightCache::Value out = cached_compile(
+            p, r.source, r.machine, r.copts, key, outcome);
         if (!out) {
             if (reply_error(p, "timeout",
                             "deadline expired waiting for an "
@@ -360,7 +488,7 @@ struct ServeServer::Impl
         b.kv("ok", true)
             .kv("digest", key.hex())
             .kv("cache", flight_outcome_name(outcome))
-            .kv("tiles", machine.n_tiles)
+            .kv("tiles", r.machine.n_tiles)
             .kv("static_instrs", out->stats.static_instrs)
             .kv("ir_instrs", out->stats.ir_instrs)
             .kv("est_makespan", out->stats.estimated_makespan())
@@ -370,63 +498,15 @@ struct ServeServer::Impl
         count(&ServeStats::completed);
     }
 
-    static FaultConfig
-    request_faults(const Json &body)
-    {
-        FaultConfig f;
-        const Json *o = body.find("faults");
-        if (!o)
-            return f;
-        if (!o->is_object())
-            throw FatalError("\"faults\" must be an object");
-        f.miss_rate = o->num_or("miss_rate", 0.0);
-        f.penalty = static_cast<int>(o->int_or("penalty", f.penalty));
-        f.seed = static_cast<uint64_t>(o->int_or("seed", 0));
-        f.route_stall_rate = o->num_or("route_stall_rate", 0.0);
-        f.dyn_delay_rate = o->num_or("dyn_delay_rate", 0.0);
-        f.jitter_rate = o->num_or("jitter_rate", 0.0);
-        const double rates[] = {f.miss_rate, f.route_stall_rate,
-                                f.dyn_delay_rate, f.jitter_rate};
-        for (double r : rates)
-            if (r < 0.0 || r > 1.0)
-                throw FatalError("fault rates must be in [0, 1]");
-        return f;
-    }
-
-    static CheckConfig
-    request_checks(const Json &body)
-    {
-        CheckConfig c;
-        const Json *o = body.find("checks");
-        if (!o)
-            return c;
-        if (!o->is_object())
-            throw FatalError("\"checks\" must be an object");
-        c.provenance = o->bool_or("provenance", false);
-        c.fifo_bounds = o->bool_or("fifo_bounds", false);
-        return c;
-    }
-
     void
     do_simulate(Pending &p)
     {
-        std::string source = request_source(p.body);
-        MachineConfig machine = request_machine(p.body);
-        CompilerOptions copts = request_options(p.body);
-        FaultConfig faults = request_faults(p.body);
-        CheckConfig checks = request_checks(p.body);
-        SimBackend backend = sim_backend_from_string(
-            p.body.str_or("backend", "reference"));
-        int64_t max_cycles =
-            p.body.int_or("max_cycles", 2000000000LL);
-        if (max_cycles < 1)
-            throw FatalError("\"max_cycles\" must be positive");
-
+        const Request &r = p.req;
         Digest key;
         FlightOutcome outcome;
         Clock::time_point t0 = Clock::now();
-        FlightCache::Value out =
-            cached_compile(p, source, machine, copts, key, outcome);
+        FlightCache::Value out = cached_compile(
+            p, r.source, r.machine, r.copts, key, outcome);
         if (!out) {
             if (reply_error(p, "timeout",
                             "deadline expired waiting for an "
@@ -439,10 +519,10 @@ struct ServeServer::Impl
         // inside: the sim polls the wall clock and throws
         // SimTimeoutError, which the firewall below turns into a
         // structured timeout reply.
-        Simulator sim(out->program, faults, checks, backend);
+        Simulator sim(out->program, r.faults, r.checks, r.backend);
         sim.set_wall_deadline(p.deadline);
         Clock::time_point t1 = Clock::now();
-        SimResult r = sim.run(max_cycles);
+        SimResult res = sim.run(r.max_cycles);
 
         if (!p.claim()) {
             count(&ServeStats::detached);
@@ -450,18 +530,18 @@ struct ServeServer::Impl
         }
         char prov[24];
         std::snprintf(prov, sizeof prov, "%016llx",
-                      static_cast<unsigned long long>(r.prov_hash));
+                      static_cast<unsigned long long>(res.prov_hash));
         JsonBuilder b = reply_head(p);
         b.kv("ok", true)
             .kv("digest", key.hex())
             .kv("cache", flight_outcome_name(outcome))
-            .kv("backend", sim_backend_name(backend))
-            .kv("cycles", r.cycles)
-            .kv("instrs", r.instrs_executed)
-            .kv("words_routed", r.words_routed)
-            .kv("dyn_messages", r.dyn_messages)
-            .kv("prints", static_cast<int64_t>(r.prints.size()))
-            .kv("check_failures", r.check_failure_count)
+            .kv("backend", sim_backend_name(r.backend))
+            .kv("cycles", res.cycles)
+            .kv("instrs", res.instrs_executed)
+            .kv("words_routed", res.words_routed)
+            .kv("dyn_messages", res.dyn_messages)
+            .kv("prints", static_cast<int64_t>(res.prints.size()))
+            .kv("check_failures", res.check_failure_count)
             .kv("prov_hash", prov)
             .kv("queue_ms", ms_between(p.arrival, t0))
             .kv("compile_ms", ms_between(t0, t1))
@@ -474,9 +554,7 @@ struct ServeServer::Impl
     void
     do_stall(Pending &p)
     {
-        int64_t ms = p.body.int_or("ms", 100);
-        if (ms < 0 || ms > 60000)
-            throw FatalError("\"ms\" must be in [0, 60000]");
+        const int64_t ms = p.req.stall_ms;
         // The stall is measured from execution start (not arrival):
         // the point of the op is to hold a *worker* for ms.
         Clock::time_point until =
@@ -528,9 +606,9 @@ struct ServeServer::Impl
         // Exception firewall: nothing a request does may kill the
         // daemon.  Every failure mode maps to one taxonomy kind.
         try {
-            if (p.op == "compile")
+            if (p.req.op == "compile")
                 do_compile(p);
-            else if (p.op == "simulate")
+            else if (p.req.op == "simulate")
                 do_simulate(p);
             else
                 do_stall(p);
@@ -544,10 +622,10 @@ struct ServeServer::Impl
             if (reply_error(p, "sim_error", e.what()))
                 count(&ServeStats::sim_errors);
         } catch (const FatalError &e) {
-            const char *kind =
-                p.op == "simulate" ? "sim_error" : "compile_error";
+            const char *kind = p.req.op == "simulate" ? "sim_error"
+                                                      : "compile_error";
             if (reply_error(p, kind, e.what())) {
-                if (p.op == "simulate")
+                if (p.req.op == "simulate")
                     count(&ServeStats::sim_errors);
                 else
                     count(&ServeStats::compile_errors);
@@ -618,8 +696,8 @@ struct ServeServer::Impl
             .kv("entries", cs.entries)
             .kv("bytes", cs.bytes);
         JsonBuilder b;
-        if (!p.client_id.empty())
-            b.kv("id", p.client_id);
+        if (!p.req.id.empty())
+            b.kv("id", p.req.id);
         b.kv("req", static_cast<int64_t>(p.seq))
             .kv("op", "stats")
             .kv("ok", true)
@@ -657,20 +735,29 @@ struct ServeServer::Impl
         Json body;
         std::string err;
         if (!json_parse(line, body, err) || !body.is_object()) {
-            p->op = "?";
+            p->req.op = "?";
             if (err.empty())
                 err = "request must be a JSON object";
+        } else {
+            try {
+                parse_request(body, p->req);
+            } catch (const BadRequest &e) {
+                err = e.what();
+            }
+        }
+        if (!err.empty()) {
             if (reply_error(*p, "bad_request", err))
                 count(&ServeStats::bad_requests);
             return;
         }
-        p->body = std::move(body);
-        p->client_id = p->body.str_or("id", "");
-        p->op = p->body.str_or("op", "");
-        p->deadline = request_deadline(p->body, p->arrival);
+        const int64_t ms =
+            std::min(p->req.timeout_ms > 0 ? p->req.timeout_ms
+                                           : opts.default_timeout_ms,
+                     opts.max_timeout_ms);
+        p->deadline = p->arrival + std::chrono::milliseconds(ms);
         log_req(*p, "received");
 
-        if (p->op == "ping") {
+        if (p->req.op == "ping") {
             if (p->claim()) {
                 JsonBuilder b = reply_head(*p);
                 b.kv("ok", true);
@@ -678,18 +765,9 @@ struct ServeServer::Impl
             }
             return;
         }
-        if (p->op == "stats") {
+        if (p->req.op == "stats") {
             if (p->claim())
                 conn->send_line(stats_line(*p));
-            return;
-        }
-        if (p->op != "compile" && p->op != "simulate" &&
-            p->op != "stall") {
-            if (reply_error(*p, "bad_request",
-                            "unknown op: " +
-                                (p->op.empty() ? "(missing)"
-                                               : p->op)))
-                count(&ServeStats::bad_requests);
             return;
         }
 
@@ -940,9 +1018,6 @@ struct ServeServer::Impl
             std::lock_guard<std::mutex> lock(stats_mu);
             s = st;
         }
-        // The disk cache tier is write-through with fdatasync before
-        // each atomic rename, so there is nothing left to flush —
-        // every published entry is already durable.
         logf("exit: %lld completed, %lld shed, %lld timeouts, "
              "%lld cancelled; cache %lld hits / %lld compiles",
              static_cast<long long>(s.completed),
@@ -1062,26 +1137,21 @@ on_signal(int)
         g_server->request_stop();
 }
 
-void
-serve_usage()
-{
-    std::fprintf(
-        stderr,
-        "usage: rawcc serve [options]\n"
-        "  --socket PATH      listen on a Unix socket\n"
-        "  --port N           listen on 127.0.0.1:N (0 = ephemeral)\n"
-        "  --workers N        worker threads (default 2)\n"
-        "  --queue-depth N    admission queue depth (default 16)\n"
-        "  --cache-entries N  request-cache entries (default 64)\n"
-        "  --cache-mb N       request-cache size cap (default 256)\n"
-        "  --cache-dir DIR    on-disk block-schedule cache tier\n"
-        "  --timeout MS       default per-request deadline\n"
-        "  --max-timeout MS   per-request deadline ceiling\n"
-        "  --drain MS         drain budget on SIGTERM/SIGINT\n"
-        "  --max-conns N      concurrent connection cap\n"
-        "  --verbose          log every request to stderr\n"
-        "(protocol: docs/serve.md)\n");
-}
+const char kServeUsage[] =
+    "usage: rawcc serve [options]\n"
+    "  --socket PATH      listen on a Unix socket\n"
+    "  --port N           listen on 127.0.0.1:N (0 = ephemeral)\n"
+    "  --workers N        worker threads (default 2)\n"
+    "  --queue-depth N    admission queue depth (default 16)\n"
+    "  --cache-entries N  request-cache entries (default 64)\n"
+    "  --cache-mb N       request-cache size cap (default 256)\n"
+    "  --timeout MS       default per-request deadline\n"
+    "  --max-timeout MS   per-request deadline ceiling\n"
+    "  --drain MS         drain budget on SIGTERM/SIGINT\n"
+    "  --max-conns N      concurrent connection cap\n"
+    "  --verbose          log every request to stderr\n"
+    "  --help, -h         print this summary to stdout\n"
+    "(protocol: docs/serve.md)\n";
 
 } // namespace
 
@@ -1090,76 +1160,56 @@ serve_main(int argc, char **argv)
 {
     ServeOptions opts;
     bool have_endpoint = false;
-    const char *kTool = "rawcc serve";
-    for (int i = 0; i < argc; i++) {
-        std::string a = argv[i];
-        auto next = [&](const char *flag) -> const char * {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "%s: %s needs a value\n",
-                             kTool, flag);
-                std::exit(2);
-            }
-            return argv[++i];
-        };
-        auto num = [&](const char *flag, long lo, long hi,
-                       const char *want) -> long {
-            return cli::parse_long_in(kTool, next(flag), flag, lo,
-                                      hi, want);
-        };
-        if (a == "--socket") {
-            opts.socket_path = next("--socket");
+    const char *const kTool = "rawcc serve";
+    cli::Args args(kTool, kServeUsage, argc, argv);
+    auto num = [&](const char *flag, long lo, long hi,
+                   const char *want) -> long {
+        return cli::parse_long_in(kTool, args.value(), flag, lo, hi,
+                                  want);
+    };
+    auto ms = [&](const char *flag) -> int64_t {
+        return num(flag, 1, 86400000, "milliseconds in [1, 86400000]");
+    };
+    while (args.next()) {
+        if (args.is("--socket")) {
+            opts.socket_path = args.value();
             have_endpoint = true;
-        } else if (a == "--port") {
+        } else if (args.is("--port")) {
             opts.port = static_cast<int>(
                 num("--port", 0, 65535, "a port in [0, 65535]"));
             have_endpoint = true;
-        } else if (a == "--workers") {
+        } else if (args.is("--workers"))
             opts.workers = static_cast<int>(
                 num("--workers", 1, 256, "a count in [1, 256]"));
-        } else if (a == "--queue-depth") {
+        else if (args.is("--queue-depth"))
             opts.queue_depth = static_cast<int>(num(
                 "--queue-depth", 1, 65536, "a depth in [1, 65536]"));
-        } else if (a == "--cache-entries") {
+        else if (args.is("--cache-entries"))
             opts.cache_entries = static_cast<int>(
                 num("--cache-entries", 1, 1000000,
                     "a count in [1, 1000000]"));
-        } else if (a == "--cache-mb") {
+        else if (args.is("--cache-mb"))
             opts.cache_bytes =
                 static_cast<int64_t>(num("--cache-mb", 1, 65536,
                                          "MB in [1, 65536]"))
                 << 20;
-        } else if (a == "--cache-dir") {
-            opts.cache_dir = next("--cache-dir");
-        } else if (a == "--timeout") {
-            opts.default_timeout_ms =
-                num("--timeout", 1, 86400000,
-                    "milliseconds in [1, 86400000]");
-        } else if (a == "--max-timeout") {
-            opts.max_timeout_ms =
-                num("--max-timeout", 1, 86400000,
-                    "milliseconds in [1, 86400000]");
-        } else if (a == "--drain") {
-            opts.drain_ms = num("--drain", 1, 86400000,
-                                "milliseconds in [1, 86400000]");
-        } else if (a == "--max-conns") {
+        else if (args.is("--timeout"))
+            opts.default_timeout_ms = ms("--timeout");
+        else if (args.is("--max-timeout"))
+            opts.max_timeout_ms = ms("--max-timeout");
+        else if (args.is("--drain"))
+            opts.drain_ms = ms("--drain");
+        else if (args.is("--max-conns"))
             opts.max_conns = static_cast<int>(num(
                 "--max-conns", 1, 4096, "a count in [1, 4096]"));
-        } else if (a == "--verbose") {
+        else if (args.is("--verbose"))
             opts.verbose = true;
-        } else if (a == "--help" || a == "-h") {
-            serve_usage();
-            return 0;
-        } else {
-            std::fprintf(stderr, "unknown flag: %s\n", a.c_str());
-            serve_usage();
-            return 2;
-        }
+        else
+            args.unknown();
     }
     if (!have_endpoint) {
-        std::fprintf(
-            stderr,
-            "rawcc serve: need --socket PATH or --port N\n");
-        serve_usage();
+        std::fprintf(stderr, "%s: need --socket PATH or --port N\n%s",
+                     kTool, kServeUsage);
         return 2;
     }
     if (opts.max_timeout_ms < opts.default_timeout_ms)

@@ -52,8 +52,6 @@ struct ServeOptions
     /** Request-cache capacity. */
     int cache_entries = 64;
     int64_t cache_bytes = 256 << 20;
-    /** Disk tier for the block-schedule cache; empty = memory only. */
-    std::string cache_dir;
     /** Default / maximum per-request deadline (ms). */
     int64_t default_timeout_ms = 30000;
     int64_t max_timeout_ms = 120000;
@@ -113,7 +111,10 @@ class ServeServer
     std::unique_ptr<Impl> impl_;
 };
 
-/** `rawcc serve` entry point (flag parsing + signal wiring). */
+/**
+ * `rawcc serve` entry point (flag parsing + signal wiring); argv[0]
+ * is the "serve" word itself, the flags follow it.
+ */
 int serve_main(int argc, char **argv);
 
 } // namespace serve

@@ -381,6 +381,16 @@ TEST(Cli, RemovedOracleFlagIsUnknown)
         << err;
 }
 
+// The on-disk schedule cache is gone: --cache-dir is rejected like any
+// unknown flag rather than silently ignored.
+TEST(Cli, RemovedCacheDirFlagIsUnknown)
+{
+    std::string err;
+    EXPECT_EQ(run_cli_capture("--cache-dir d jacobi", true, err), 2);
+    EXPECT_NE(err.find("unknown flag '--cache-dir'"), std::string::npos)
+        << err;
+}
+
 // A second input is a usage error, not a silently replaced first one.
 TEST(Cli, SecondPositionalExitsTwo)
 {

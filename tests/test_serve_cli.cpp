@@ -5,15 +5,18 @@
  * socket, and walk the whole robustness surface in a few seconds —
  * compile (miss then hit), simulate, a deterministically forced
  * overload shed, and a SIGTERM drain that must answer every
- * outstanding request and exit 0.
+ * outstanding request and exit 0.  Also pins the daemon's argv
+ * handling and the strict request-field walk.
  */
 
 #include <gtest/gtest.h>
 
 #include <signal.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <chrono>
+#include <cstdio>
 #include <string>
 
 #include "serve/client.hpp"
@@ -166,13 +169,15 @@ TEST(ServeCli, RejectsGarbageLinesWithoutDying)
     EXPECT_EQ(r1.str_or("error", ""), "bad_request");
     Json r2 = c.request("[1,2,3]", 5000);
     EXPECT_EQ(r2.str_or("error", ""), "bad_request");
+    // Out-of-range fault rates and unknown benches are malformed
+    // requests, rejected before admission.
     Json r3 = c.request("{\"op\":\"simulate\",\"bench\":\"jacobi\","
                         "\"faults\":{\"miss_rate\":7.5}}",
                         5000);
-    EXPECT_EQ(r3.str_or("error", ""), "sim_error");
+    EXPECT_EQ(r3.str_or("error", ""), "bad_request");
     Json r4 = c.request("{\"op\":\"compile\",\"bench\":\"nope\"}",
                         5000);
-    EXPECT_EQ(r4.str_or("error", ""), "compile_error");
+    EXPECT_EQ(r4.str_or("error", ""), "bad_request");
 
     // Still alive and still serving after all of that.
     Json ok = c.request("{\"op\":\"compile\",\"bench\":\"life\","
@@ -232,6 +237,140 @@ TEST(ServeCli, RejectsBadCompileOptions)
         30000);
     EXPECT_TRUE(ok.bool_or("ok", false)) << ok.str_or("message", "");
     EXPECT_EQ(d.stop(), 0);
+}
+
+// Every request field is named, typed and given once, like the
+// compile options: each malformed request gets bad_request, a
+// well-formed id is still echoed, and the daemon keeps serving.
+TEST(ServeCli, RejectsBadRequestFields)
+{
+    ServeDaemon d;
+    d.start(RAWCC_BIN, {"--socket", test_sock("fields"), "--workers",
+                        "1", "--queue-depth", "2"});
+    ServeClient c;
+    c.connect(d.endpoint());
+
+    const char *kBad[] = {
+        "{\"op\":\"compile\",\"bench\":\"jacobi\",\"tiles\":4.5}",
+        "{\"op\":\"compile\",\"bench\":\"jacobi\",\"tiles\":\"4\"}",
+        "{\"op\":\"compile\",\"bench\":\"jacobi\",\"tiles\":0}",
+        "{\"op\":\"compile\",\"bench\":\"jacobi\",\"tiles\":4,"
+        "\"tiles\":4}",
+        "{\"op\":\"compile\",\"bench\":\"jacobi\",\"tile\":4}",
+        "{\"op\":\"compile\",\"bench\":\"nope\"}",
+        "{\"op\":\"compile\",\"bench\":7}",
+        "{\"op\":\"compile\"}",
+        "{\"op\":\"compile\",\"bench\":\"jacobi\",\"source\":\"x\"}",
+        "{\"op\":\"compile\",\"source\":\"\"}",
+        "{\"op\":\"compile\",\"bench\":\"jacobi\",\"machine\":\"big\"}",
+        "{\"op\":\"compile\",\"bench\":\"jacobi\",\"timeout_ms\":0}",
+        "{\"op\":\"compile\",\"bench\":\"jacobi\",\"timeout_ms\":\"5\"}",
+        "{\"op\":\"compile\",\"bench\":\"jacobi\",\"id\":5}",
+        "{\"op\":7}",
+        "{\"bench\":\"jacobi\"}",
+        "{\"op\":\"simulate\",\"bench\":\"jacobi\",\"faults\":{\"seed\":-1}}",
+        "{\"op\":\"simulate\",\"bench\":\"jacobi\","
+        "\"faults\":{\"penalty\":\"x\"}}",
+        "{\"op\":\"simulate\",\"bench\":\"jacobi\","
+        "\"faults\":{\"miss_rate\":7.5}}",
+        "{\"op\":\"simulate\",\"bench\":\"jacobi\","
+        "\"faults\":{\"miss_rat\":0.1}}",
+        "{\"op\":\"simulate\",\"bench\":\"jacobi\",\"faults\":[]}",
+        "{\"op\":\"simulate\",\"bench\":\"jacobi\","
+        "\"checks\":{\"provenance\":1}}",
+        "{\"op\":\"simulate\",\"bench\":\"jacobi\",\"backend\":\"fast\"}",
+        "{\"op\":\"simulate\",\"bench\":\"jacobi\",\"max_cycles\":0}",
+        "{\"op\":\"stall\",\"ms\":-1}",
+        "{\"op\":\"stall\",\"ms\":60001}",
+        "{\"op\":\"ping\",\"extra\":true}",
+    };
+    int64_t bad = 0;
+    for (const char *line : kBad) {
+        Json r = c.request(line, 15000);
+        EXPECT_FALSE(r.bool_or("ok", true)) << line;
+        EXPECT_EQ(r.str_or("error", ""), "bad_request")
+            << line << ": " << r.str_or("message", "");
+        bad++;
+    }
+    // The bad member does not hide a well-formed id, wherever it is.
+    Json echoed = c.request(
+        "{\"tiles\":\"4\",\"op\":\"compile\",\"bench\":\"jacobi\","
+        "\"id\":\"e\"}",
+        5000);
+    EXPECT_EQ(echoed.str_or("error", ""), "bad_request");
+    EXPECT_EQ(echoed.str_or("id", ""), "e");
+    bad++;
+    EXPECT_EQ(c.request("{\"op\":\"stats\"}", 2000)
+                  .int_or("bad_requests", -1),
+              bad);
+
+    // The shapes the load generators send are accepted.
+    Json sim = c.request(
+        "{\"id\":\"17\",\"op\":\"simulate\",\"bench\":\"jacobi\","
+        "\"tiles\":2,\"machine\":\"one_cycle\",\"backend\":\"threaded\","
+        "\"options\":{\"route_select\":true}}",
+        30000);
+    EXPECT_TRUE(sim.bool_or("ok", false)) << sim.str_or("message", "");
+    EXPECT_EQ(sim.str_or("id", ""), "17");
+    Json full = c.request(
+        "{\"op\":\"simulate\",\"bench\":\"jacobi\",\"tiles\":4,"
+        "\"machine\":\"inf_reg\",\"backend\":\"region\","
+        "\"max_cycles\":100000000,\"timeout_ms\":30000,"
+        "\"faults\":{\"miss_rate\":0.01,\"penalty\":5,\"seed\":7,"
+        "\"route_stall_rate\":0,\"dyn_delay_rate\":1,"
+        "\"jitter_rate\":0.05},"
+        "\"checks\":{\"provenance\":true,\"fifo_bounds\":false}}",
+        30000);
+    EXPECT_TRUE(full.bool_or("ok", false)) << full.str_or("message", "");
+    Json stall = c.request("{\"op\":\"stall\",\"ms\":0}", 5000);
+    EXPECT_TRUE(stall.bool_or("ok", false));
+    EXPECT_EQ(d.stop(), 0);
+}
+
+/**
+ * Exit code of `rawcc serve @p args`; its output, redirected by
+ * @p redirect (stdout and stderr by default), lands in @p out.
+ */
+int
+run_serve(const std::string &args, std::string &out,
+          const char *redirect = " 2>&1")
+{
+    std::string cmd =
+        std::string(RAWCC_BIN) + " serve " + args + redirect;
+    FILE *f = popen(cmd.c_str(), "r");
+    if (!f)
+        return -1;
+    out.clear();
+    char buf[4096];
+    size_t n;
+    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0)
+        out.append(buf, n);
+    int rc = pclose(f);
+    return WIFEXITED(rc) ? WEXITSTATUS(rc) : -1;
+}
+
+// The daemon walks argv with cli::Args like rawcc: --help prints the
+// usage to stdout and exits 0; an unknown flag (the removed
+// --cache-dir among them), a missing or bad value and a missing
+// endpoint exit 2 before anything listens.
+TEST(ServeCli, FlagHandling)
+{
+    std::string out;
+    EXPECT_EQ(run_serve("--help", out, " 2>/dev/null"), 0);
+    EXPECT_NE(out.find("usage: rawcc serve"), std::string::npos) << out;
+
+    EXPECT_EQ(run_serve("--cache-dir /tmp/x --port 0", out), 2);
+    EXPECT_NE(out.find("unknown flag '--cache-dir'"), std::string::npos)
+        << out;
+    EXPECT_EQ(run_serve("--port 0 --workers", out), 2);
+    EXPECT_NE(out.find("--workers expects a value"), std::string::npos)
+        << out;
+    EXPECT_EQ(run_serve("--workers x --port 0", out), 2);
+    EXPECT_EQ(run_serve("--queue-depth 0 --port 0", out), 2);
+    EXPECT_EQ(run_serve("--workers 2", out), 2);
+    EXPECT_NE(out.find("need --socket PATH or --port N"),
+              std::string::npos)
+        << out;
 }
 
 } // namespace

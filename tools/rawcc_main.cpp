@@ -34,8 +34,6 @@
  *                      outcome instead of stalling the sweep
  *   --jobs N           worker threads (0 = all cores): campaign
  *                      points, and per-block compile phases
- *   --cache-dir D      on-disk block-schedule cache (created if
- *                      missing; must be writable)
  *   --no-sched-cache   disable the in-memory block-schedule cache
  *   --no-unroll        disable affine staticization (ablation)
  *   --no-replication   broadcast every branch (ablation)
@@ -68,7 +66,6 @@
 #include "harness/harness.hpp"
 #include "harness/parallel.hpp"
 #include "ir/printer.hpp"
-#include "rawcc/schedcache.hpp"
 #include "serve/server.hpp"
 #include "sim/disasm.hpp"
 #include "sim/profile.hpp"
@@ -85,8 +82,7 @@ const char kUsage[] =
     "  --dyn-delay-rate R --dyn-delay-cycles P --jitter-rate R\n"
     "  --check --fault-campaign N --campaign-out FILE\n"
     "  --point-timeout MS --jobs N\n"
-    "  --cache-dir DIR --no-sched-cache\n"
-    "  --no-unroll --no-replication --no-port-fold\n"
+    "  --no-sched-cache --no-unroll --no-replication --no-port-fold\n"
     "  --sched-iters N --route-select --pgo\n"
     "  --modulo --mii-cap N\n"
     "  --sim-backend reference|threaded|region --sim-diff\n"
@@ -115,14 +111,6 @@ print_compile_timing(const raw::CompileStats &st)
                 static_cast<long long>(c.part_misses),
                 static_cast<long long>(c.sched_hits),
                 static_cast<long long>(c.sched_misses));
-    if (c.disk_hits || c.disk_corrupt || c.bytes_read ||
-        c.bytes_written)
-        std::printf("sched cache disk:    %lld hit(s), %lld "
-                    "dropped, %lld bytes read, %lld written\n",
-                    static_cast<long long>(c.disk_hits),
-                    static_cast<long long>(c.disk_corrupt),
-                    static_cast<long long>(c.bytes_read),
-                    static_cast<long long>(c.bytes_written));
 }
 
 std::string
@@ -149,7 +137,7 @@ main(int argc, char **argv)
     // `rawcc serve ...`: hand the rest of argv to the daemon
     // (src/serve/server.hpp); everything below is the one-shot CLI.
     if (argc >= 2 && std::string(argv[1]) == "serve")
-        return serve::serve_main(argc - 2, argv + 2);
+        return serve::serve_main(argc - 1, argv + 1);
 
     int tiles = 4;
     MachineConfig (*make_machine)(int) = &MachineConfig::base;
@@ -252,9 +240,7 @@ main(int argc, char **argv)
             jobs = parse_int_in("--jobs", 0, 4096,
                                 "a worker count in 0..4096");
             opts.orch.jobs = jobs;
-        } else if (args.is("--cache-dir"))
-            opts.orch.cache_dir = args.value();
-        else if (args.is("--no-sched-cache"))
+        } else if (args.is("--no-sched-cache"))
             opts.orch.use_cache = false;
         else if (args.is("--sched-iters"))
             opts.orch.sched.sched_iters = parse_int_in(
@@ -309,8 +295,6 @@ main(int argc, char **argv)
     }
 
     try {
-        if (!opts.orch.cache_dir.empty())
-            validate_cache_dir(opts.orch.cache_dir);
         std::string src = load_input(input);
         MachineConfig machine = make_machine(tiles);
 
