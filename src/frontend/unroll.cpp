@@ -1,7 +1,5 @@
 #include "frontend/unroll.hpp"
 
-#include <functional>
-
 #include <map>
 #include <optional>
 #include <unordered_map>
@@ -485,20 +483,6 @@ unroll_program(Program &prog, const UnrollOptions &opts)
     for (const StmtPtr &s : prog.stmts)
         if (s->kind == StmtKind::kDeclArray)
             dims[s->name] = s->dims;
-
-    // Stamp source-loop identities before any transformation so
-    // unrolled and peeled copies inherit them via clone().
-    int next_loop_id = 0;
-    std::function<void(const std::vector<StmtPtr> &)> stamp =
-        [&](const std::vector<StmtPtr> &stmts) {
-            for (const StmtPtr &s : stmts) {
-                if (s->kind == StmtKind::kFor)
-                    s->loop_id = next_loop_id++;
-                stamp(s->body);
-                stamp(s->else_body);
-            }
-        };
-    stamp(prog.stmts);
 
     Unroller u(opts, dims, consts);
     u.run(prog.stmts);

@@ -240,4 +240,53 @@ golden_summary(const std::string &bench, int tiles,
     return out.str();
 }
 
+std::string
+GoldenPoint::name() const
+{
+    std::string n = std::string(bench) + "_n" + std::to_string(tiles);
+    if (sched_opt)
+        n += "_sched";
+    if (faults.multi_channel())
+        n += "_mfault";
+    else if (faults.miss_rate > 0)
+        n += "_fault";
+    return n;
+}
+
+CompilerOptions
+GoldenPoint::options() const
+{
+    CompilerOptions opts;
+    if (sched_opt) {
+        opts.orch.sched.sched_iters = 3;
+        opts.orch.sched.route_select = true;
+    }
+    return opts;
+}
+
+const std::vector<GoldenPoint> &
+golden_points()
+{
+    static const std::vector<GoldenPoint> points = {
+        {"life", 1, {}},     {"life", 4, {}},     {"life", 16, {}},
+        {"cholesky", 1, {}}, {"cholesky", 4, {}}, {"cholesky", 16, {}},
+        {"mxm", 1, {}},      {"mxm", 4, {}},      {"mxm", 16, {}},
+        {"jacobi", 1, {}},   {"jacobi", 4, {}},   {"jacobi", 16, {}},
+        // One fault-injected point so the quiescence fast-forward is
+        // pinned under random extra memory latency too.
+        {"jacobi", 4, {0.01, 20, 42}},
+        // All four fault channels at once (miss + route stalls + dyn
+        // delay + jitter), pinning the multi-channel RNG streams.
+        {"jacobi", 4, {0.02, 9, 7, 0.05, 3, 0.05, 6, 0.02}},
+        // Schedule-quality optimizer points: best-of-N rescheduling
+        // plus contention-aware route selection must stay
+        // deterministic too.
+        {"life", 16, {}, true},
+        {"cholesky", 16, {}, true},
+        {"mxm", 16, {}, true},
+        {"jacobi", 16, {}, true},
+    };
+    return points;
+}
+
 } // namespace raw

@@ -11,6 +11,7 @@
  */
 
 #include <string>
+#include <vector>
 
 #include "baseline/baseline.hpp"
 #include "programs/programs.hpp"
@@ -87,6 +88,27 @@ double verified_speedup(const BenchmarkProgram &prog,
 std::string golden_summary(const std::string &bench, int tiles,
                            const FaultConfig &faults,
                            const SimResult &sim);
+
+/** One point of the golden corpus under tests/goldens/. */
+struct GoldenPoint
+{
+    const char *bench;
+    int tiles;
+    FaultConfig faults;
+    /** Schedule-quality optimizer on (--sched-iters 3 --route-select). */
+    bool sched_opt = false;
+
+    /** File stem: `<bench>_n<tiles>[_sched][_mfault|_fault]`. */
+    std::string name() const;
+    /** Compiler options the point is recorded under. */
+    CompilerOptions options() const;
+};
+
+/**
+ * Every golden point, in recording order: the one table both
+ * tools/golden_gen.cpp and tests/test_golden_determinism.cpp walk.
+ */
+const std::vector<GoldenPoint> &golden_points();
 
 } // namespace raw
 

@@ -95,7 +95,7 @@ options_fingerprint(const CompilerOptions &opts)
     const SchedOptions &s = opts.orch.sched;
     os << "|s:" << s.level_weight << " " << s.fertility_weight << " "
        << s.fifo_priority << " " << s.sched_iters << " "
-       << s.route_select << " " << s.modulo << " " << s.mii_cap;
+       << s.route_select;
     os << "|o:" << opts.orch.enable_replication << " "
        << opts.orch.fold_ports << " hv";
     for (int v : opts.orch.var_home_override)
@@ -149,15 +149,6 @@ pgo_candidates(const CompilerOptions &base, const PlacementFeedback &fb)
     {
         CompilerOptions c = plain;
         c.smart_homes = true;
-        add(c);
-    }
-    // Modulo scheduling optimizes the modeled steady-state II, which
-    // can trade away flat makespan; when the base compile pipelines,
-    // race the plain greedy schedule too so the measured pick keeps
-    // whichever the machine actually runs faster.
-    if (plain.orch.sched.modulo) {
-        CompilerOptions c = plain;
-        c.orch.sched.modulo = false;
         add(c);
     }
     // More aggressive loop peeling: staticizes more references at
@@ -265,7 +256,6 @@ orchestrate_and_link(Function fn, const MachineConfig &machine,
     out.stats.static_instrs = out.program.static_instrs();
     out.stats.block_makespan = vp.block_makespan;
     out.stats.est_tile_busy = vp.est_tile_busy;
-    out.stats.block_pipeline = vp.block_pipeline;
     out.stats.timings.total_ms = out.stats.timings.orchestrate_ms +
                                  out.stats.timings.link_ms;
     out.fn = std::move(fn);
@@ -398,7 +388,7 @@ compile_source(const std::string &source, const MachineConfig &machine,
 {
     machine.validate();
 
-    if (opts.pgo && opts.orch.partition.feedback.empty()) {
+    if (opts.pgo) {
         // Profile-guided pass: a first full compile+simulate
         // measures where cycles actually went, then each candidate
         // variant (congestion-feedback placement, criticality-

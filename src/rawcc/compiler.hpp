@@ -57,9 +57,7 @@ struct CompilerOptions
      * aggressiveness) and keep the fastest measured program.  The
      * plain compile is always candidate 0, so this never loses
      * cycles.  Acts in compile_source (unroll variants precede
-     * lowering); ignored when orch.partition.feedback is already
-     * populated (the harness's cached-profile path sets it
-     * directly).
+     * lowering).
      */
     bool pgo = false;
 };
@@ -93,8 +91,6 @@ struct CompileStats
     std::vector<int64_t> block_makespan;
     /** Scheduler-estimated issue slots per tile (all blocks). */
     std::vector<int64_t> est_tile_busy;
-    /** Per-loop-block modulo-scheduling outcomes (--modulo). */
-    std::vector<BlockPipelineStats> block_pipeline;
     /** Per-stage compile time. */
     PhaseTimings timings;
     /** Block-schedule cache traffic (includes smart-homes probes). */

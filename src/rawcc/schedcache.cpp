@@ -268,6 +268,11 @@ block_partition_key(const Function &fn, int b,
                   canon.canon_value(in.src[1]),
                   in.has_dst() ? canon.canon_value(in.dst) : -1,
                   in.imm_bits, in.array);
+    // Targets are stored as terminator slots, and a branch whose two
+    // targets coincide stores both as one slot: its streams must
+    // never serve a branch that goes two ways.
+    const Instr &term = blk.terminator();
+    s.bit(term.op == Op::kBranch && term.target[0] == term.target[1]);
     s.lit("|t:");
     s.num(static_cast<int64_t>(tail.size()));
     for (const VInstr &v : tail)
@@ -327,8 +332,6 @@ block_schedule_key(const BlockKey &part_key, const SchedOptions &so,
     s.num(so.fifo_priority);
     s.num(so.sched_iters);
     s.num(so.route_select);
-    s.num(so.modulo);
-    s.num(so.mii_cap);
     s.lit("|w:");
     s.num(static_cast<int64_t>(switch_active.size()));
     for (bool v : switch_active)
@@ -378,12 +381,6 @@ dehydrate_streams(const BlockCanon &canon, const Instr &term,
     SchedEntry e;
     e.makespan = sched.makespan;
     e.tile_busy = sched.tile_busy;
-    e.pipelined = sched.pipelined ? 1 : 0;
-    e.ii = sched.ii;
-    e.mii = sched.mii;
-    e.res_mii = sched.res_mii;
-    e.rec_mii = sched.rec_mii;
-    e.flat_mii = sched.flat_mii;
     e.tiles.resize(tiles.size());
     for (size_t t = 0; t < tiles.size(); t++) {
         e.tiles[t].reserve(tiles[t].size());
@@ -531,12 +528,6 @@ serialize_sched(std::string &s, const SchedEntry &e)
     put(s, static_cast<int64_t>(e.tile_busy.size()));
     for (int64_t v : e.tile_busy)
         put(s, v);
-    put(s, static_cast<int64_t>(e.pipelined));
-    put(s, e.ii);
-    put(s, e.mii);
-    put(s, e.res_mii);
-    put(s, e.rec_mii);
-    put(s, e.flat_mii);
     put(s, static_cast<int64_t>(e.tiles.size()));
     for (const auto &code : e.tiles) {
         put(s, static_cast<int64_t>(code.size()));
@@ -585,7 +576,6 @@ rehydrate_sched_payload(const std::string &payload,
                         const BlockCanon &canon, const Instr &term,
                         int64_t &makespan,
                         std::vector<int64_t> &tile_busy,
-                        BlockPipelineStats &pipe,
                         std::vector<std::vector<VInstr>> &tiles_out,
                         std::vector<std::vector<SInstr>> &switches_out)
 {
@@ -597,12 +587,6 @@ rehydrate_sched_payload(const std::string &payload,
     tile_busy.resize(n);
     for (int64_t k = 0; k < n; k++)
         tile_busy[k] = r.i();
-    pipe.pipelined = r.i() != 0;
-    pipe.ii = r.i();
-    pipe.mii = r.i();
-    pipe.res_mii = r.i();
-    pipe.rec_mii = r.i();
-    pipe.flat_mii = r.i();
     n = r.i();
     if (!r.ok || n < 0 || n > (1 << 20))
         return false;

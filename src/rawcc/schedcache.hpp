@@ -123,17 +123,6 @@ struct SchedEntry
     int64_t makespan = 0;
     std::vector<int64_t> tile_busy;
     /**
-     * Modulo-scheduling outcome (BlockSchedule metadata): carrying it
-     * in the payload keeps --stats and the quality benches identical
-     * between cold and warm compiles.
-     */
-    uint8_t pipelined = 0;
-    int64_t ii = 0;
-    int64_t mii = 0;
-    int64_t res_mii = 0;
-    int64_t rec_mii = 0;
-    int64_t flat_mii = 0;
-    /**
      * Per-tile processor / switch streams in canonical form: value
      * and array ids canonicalized, print_seq relative to the block's
      * first print, branch targets replaced by terminator slots
@@ -188,7 +177,7 @@ BlockKey block_schedule_key(const BlockKey &part_key,
 /**
  * Canonicalize freshly emitted block streams for insertion
  * (dehydrate).  @p term is the block's terminator (target slots);
- * @p sched supplies the makespan, busy estimate and pipeline stats.
+ * @p sched supplies the makespan and busy estimate.
  */
 SchedEntry dehydrate_streams(const BlockCanon &canon, const Instr &term,
                              const BlockSchedule &sched,
@@ -208,7 +197,6 @@ bool rehydrate_sched_payload(const std::string &payload,
                              const BlockCanon &canon, const Instr &term,
                              int64_t &makespan,
                              std::vector<int64_t> &tile_busy,
-                             BlockPipelineStats &pipe,
                              std::vector<std::vector<VInstr>> &tiles_out,
                              std::vector<std::vector<SInstr>> &switches_out);
 

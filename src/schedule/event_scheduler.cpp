@@ -6,22 +6,212 @@
 #include <map>
 #include <queue>
 
-#include "schedule/sched_internal.hpp"
 #include "support/error.hpp"
 
 namespace raw {
 
 namespace {
 
-// Dependence bookkeeping, priorities and reservation state live in
-// schedule/sched_internal.hpp, shared with the modulo scheduler so
-// both agree on the resource model.
-using sched::build_deps;
-using sched::compute_priorities;
-using sched::DepInfo;
-using sched::Priorities;
-using sched::SwitchTable;
-using sched::topo_order;
+/** Per-switch, per-cycle reservation state. */
+struct SwRes
+{
+    uint8_t in_used = 0;  // bitmask over Dir
+    uint8_t out_used = 0; // bitmask over Dir
+    bool reg_used = false;
+
+    /** True when every port @p h needs is still free this cycle. */
+    bool admits(const TreeHop &h) const
+    {
+        uint8_t in_bit =
+            static_cast<uint8_t>(1u << static_cast<int>(h.in));
+        return !(in_used & in_bit) && !(out_used & h.out_mask) &&
+               !(h.to_reg && reg_used);
+    }
+    /** Reserve the ports @p h needs this cycle. */
+    void take(const TreeHop &h)
+    {
+        in_used |= static_cast<uint8_t>(1u << static_cast<int>(h.in));
+        out_used |= h.out_mask;
+        reg_used = reg_used || h.to_reg;
+    }
+};
+
+/**
+ * Switch reservations of one block schedule: a dense SwRes row per
+ * tile, indexed by cycle and grown on demand, the scheme the
+ * processor-slot bitmaps use.  The slot searches probe every route
+ * hop at every candidate cycle, so a probe is an array index rather
+ * than a tree lookup.
+ */
+class SwitchTable
+{
+  public:
+    explicit SwitchTable(int n_tiles) : rows_(n_tiles) {}
+
+    /** True when hop @p h can cross its switch at @p cycle. */
+    bool admits(const TreeHop &h, int64_t cycle) const
+    {
+        const std::vector<SwRes> &row = rows_[h.tile];
+        return cycle >= static_cast<int64_t>(row.size()) ||
+               row[cycle].admits(h);
+    }
+    /** First cycle >= @p cycle at which hop @p h can cross. */
+    int64_t next_free(const TreeHop &h, int64_t cycle) const
+    {
+        const std::vector<SwRes> &row = rows_[h.tile];
+        while (cycle < static_cast<int64_t>(row.size()) &&
+               !row[cycle].admits(h))
+            cycle++;
+        return cycle;
+    }
+    /** Reserve hop @p h's ports at @p cycle. */
+    void take(const TreeHop &h, int64_t cycle)
+    {
+        std::vector<SwRes> &row = rows_[h.tile];
+        if (cycle >= static_cast<int64_t>(row.size()))
+            row.resize(cycle + 1);
+        row[cycle].take(h);
+    }
+
+  private:
+    std::vector<std::vector<SwRes>> rows_;
+};
+
+/** Priorities: level (critical path) and clamped fertility. */
+struct Priorities
+{
+    std::vector<int64_t> level;
+    std::vector<int64_t> fert;
+};
+
+/** Dependence bookkeeping shared by every scheduling pass. */
+struct DepInfo
+{
+    /** node -> paths it sources (usually <= 2: data + bcast). */
+    std::vector<std::vector<int>> paths_of_node;
+    /** Node's non-broadcast (value-carrying) path, or -1. */
+    std::vector<int> data_path_of_node;
+    /** Initial unsatisfied-dependence count per node. */
+    std::vector<int> deps_init;
+    std::vector<std::vector<int>> node_waiters; // node -> nodes
+    std::vector<std::vector<int>> path_waiters; // path -> nodes
+    std::vector<std::vector<int>> in_edges;     // node -> edge ids
+};
+
+/** Topological order of the task graph (panics on a cycle). */
+std::vector<int>
+topo_order(const TaskGraph &g)
+{
+    const int n = static_cast<int>(g.nodes().size());
+    std::vector<int> indeg(n, 0), order;
+    order.reserve(n);
+    std::queue<int> q;
+    for (int i = 0; i < n; i++) {
+        indeg[i] = static_cast<int>(g.preds(i).size());
+        if (indeg[i] == 0)
+            q.push(i);
+    }
+    while (!q.empty()) {
+        int v = q.front();
+        q.pop();
+        order.push_back(v);
+        for (int s : g.succs(v))
+            if (--indeg[s] == 0)
+                q.push(s);
+    }
+    check(static_cast<int>(order.size()) == n,
+          "scheduler: task graph has a cycle");
+    return order;
+}
+
+constexpr int64_t kFertCap = 1000000;
+
+/** Static priorities: levels with Table 1 hop estimates. */
+Priorities
+compute_priorities(const TaskGraph &g, const Partition &part,
+                   const MachineConfig &m)
+{
+    const int n = static_cast<int>(g.nodes().size());
+    Priorities pr;
+    pr.level.assign(n, 0);
+    pr.fert.assign(n, 0);
+
+    std::vector<int> order = topo_order(g);
+    for (int k = n; k-- > 0;) {
+        int v = order[k];
+        int64_t lvl = 0, fert = 0;
+        for (int e : g.out_edges(v)) {
+            const TGEdge &edge = g.edges()[e];
+            int s = edge.to;
+            int64_t comm = 0;
+            if (part.tile_of[v] != part.tile_of[s] &&
+                edge.kind != DepKind::kAnti)
+                comm = 2 + m.distance(part.tile_of[v],
+                                      part.tile_of[s]);
+            lvl = std::max(lvl, comm + pr.level[s]);
+            fert = std::min(kFertCap, fert + 1 + pr.fert[s]);
+        }
+        pr.level[v] = g.nodes()[v].cost + lvl;
+        pr.fert[v] = fert;
+    }
+    return pr;
+}
+
+/** Per-node and per-path dependence counts and waiter lists. */
+DepInfo
+build_deps(const TaskGraph &g, const Partition &part,
+           const std::vector<CommPath> &paths)
+{
+    const int nn = static_cast<int>(g.nodes().size());
+    const int np = static_cast<int>(paths.size());
+    DepInfo d;
+    d.paths_of_node.assign(nn, {});
+    for (int p = 0; p < np; p++)
+        d.paths_of_node[paths[p].src_node].push_back(p);
+    d.data_path_of_node.assign(nn, -1);
+    for (int p = 0; p < np; p++)
+        if (!paths[p].broadcast)
+            d.data_path_of_node[paths[p].src_node] = p;
+
+    d.deps_init.assign(nn, 0);
+    d.node_waiters.assign(nn, {});
+    d.path_waiters.assign(np, {});
+    d.in_edges.assign(nn, {});
+    for (int e = 0; e < static_cast<int>(g.edges().size()); e++)
+        d.in_edges[g.edges()[e].to].push_back(e);
+
+    for (int e = 0; e < static_cast<int>(g.edges().size()); e++) {
+        const TGEdge &edge = g.edges()[e];
+        int p = edge.from, v = edge.to;
+        bool same = part.tile_of[p] == part.tile_of[v];
+        if (edge.kind == DepKind::kAnti) {
+            if (!same)
+                continue;
+            // Same-tile anti-dep: wait for the node; if the producer
+            // is an import with fan-out paths, also wait for those
+            // paths (their sends read the register being overwritten).
+            d.node_waiters[p].push_back(v);
+            d.deps_init[v]++;
+            if (g.nodes()[p].kind == TGKind::kImport) {
+                for (int pp : d.paths_of_node[p]) {
+                    d.path_waiters[pp].push_back(v);
+                    d.deps_init[v]++;
+                }
+            }
+            continue;
+        }
+        if (same) {
+            d.node_waiters[p].push_back(v);
+            d.deps_init[v]++;
+        } else {
+            int path = d.data_path_of_node[p];
+            check(path >= 0, "scheduler: cross-tile edge without path");
+            d.path_waiters[path].push_back(v);
+            d.deps_init[v]++;
+        }
+    }
+    return d;
+}
 
 /**
  * Processor issue slots of every tile: a busy bitmap in 64-cycle

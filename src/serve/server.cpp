@@ -273,6 +273,8 @@ struct Conn
     int fd = -1;
     std::mutex wmu;
     std::atomic<bool> open{true};
+    /** Set as the reader thread's last act: it can be joined. */
+    std::atomic<bool> done{false};
 
     ~Conn()
     {
@@ -348,9 +350,14 @@ struct ServeServer::Impl
 
     std::vector<std::thread> workers;
     std::thread reaper;
-    std::vector<std::thread> conn_threads;
+    /** A connection and the thread that reads it. */
+    struct ConnSlot
+    {
+        std::shared_ptr<Conn> conn;
+        std::thread reader;
+    };
     std::mutex conns_mu;
-    std::vector<std::shared_ptr<Conn>> conns;
+    std::vector<ConnSlot> conns;
 
     std::mutex pending_mu;
     std::vector<PendingPtr> pending;
@@ -505,8 +512,17 @@ struct ServeServer::Impl
         Digest key;
         FlightOutcome outcome;
         Clock::time_point t0 = Clock::now();
-        FlightCache::Value out = cached_compile(
-            p, r.source, r.machine, r.copts, key, outcome);
+        FlightCache::Value out;
+        try {
+            out = cached_compile(p, r.source, r.machine, r.copts, key,
+                                 outcome);
+        } catch (const FatalError &e) {
+            // The program never reached the simulator: the compiler
+            // rejected it, exactly as the same request's compile op.
+            if (reply_error(p, "compile_error", e.what()))
+                count(&ServeStats::compile_errors);
+            return;
+        }
         if (!out) {
             if (reply_error(p, "timeout",
                             "deadline expired waiting for an "
@@ -835,6 +851,7 @@ struct ServeServer::Impl
         }
         conn->open.store(false);
         ::shutdown(conn->fd, SHUT_RDWR);
+        conn->done.store(true);
     }
 
     // -- listener -----------------------------------------------
@@ -912,17 +929,26 @@ struct ServeServer::Impl
         timeval tv{5, 0};
         ::setsockopt(cfd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof tv);
 
-        size_t active;
+        // Reap finished connections: joining a reader releases its
+        // thread stack, which an unjoined thread keeps until drain.
+        // A closed connection whose reader still blocks in recv()
+        // stays listed (uncounted) so drain can release and join it.
+        std::vector<std::thread> finished;
+        size_t active = 0;
         {
             std::lock_guard<std::mutex> lock(conns_mu);
-            conns.erase(
-                std::remove_if(conns.begin(), conns.end(),
-                               [](const std::shared_ptr<Conn> &c) {
-                                   return !c->open.load();
-                               }),
-                conns.end());
-            active = conns.size();
+            auto live = std::partition(
+                conns.begin(), conns.end(), [](const ConnSlot &s) {
+                    return !s.conn->done.load();
+                });
+            for (auto it = live; it != conns.end(); ++it)
+                finished.push_back(std::move(it->reader));
+            conns.erase(live, conns.end());
+            for (const ConnSlot &s : conns)
+                active += s.conn->open.load() ? 1 : 0;
         }
+        for (std::thread &t : finished)
+            t.join();
         if (active >= static_cast<size_t>(opts.max_conns)) {
             JsonBuilder b;
             b.kv("ok", false)
@@ -941,13 +967,10 @@ struct ServeServer::Impl
         }
         auto conn = std::make_shared<Conn>();
         conn->fd = cfd;
-        {
-            std::lock_guard<std::mutex> lock(conns_mu);
-            conns.push_back(conn);
-        }
         count(&ServeStats::connections);
-        conn_threads.emplace_back(
-            [this, conn] { conn_loop(conn); });
+        std::lock_guard<std::mutex> lock(conns_mu);
+        conns.push_back(
+            {conn, std::thread([this, conn] { conn_loop(conn); })});
     }
 
     // -- drain --------------------------------------------------
@@ -1001,13 +1024,13 @@ struct ServeServer::Impl
         // Release connection threads blocked in recv().
         {
             std::lock_guard<std::mutex> lock(conns_mu);
-            for (auto &c : conns) {
-                c->open.store(false);
-                ::shutdown(c->fd, SHUT_RDWR);
+            for (ConnSlot &s : conns) {
+                s.conn->open.store(false);
+                ::shutdown(s.conn->fd, SHUT_RDWR);
             }
         }
-        for (auto &t : conn_threads)
-            t.join();
+        for (ConnSlot &s : conns)
+            s.reader.join();
 
         drain_done.store(true);
         watchdog.join();

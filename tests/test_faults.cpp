@@ -349,22 +349,22 @@ TEST(Cli, RejectsNaNAndOutOfRangeRates)
     EXPECT_EQ(run_cli("--jitter-rate nan jacobi"), 2);
 }
 
-TEST(Cli, RejectsBadModuloKnobs)
+// The modulo scheduler is gone: --modulo and --mii-cap are rejected
+// like any unknown flag, with or without a value.
+TEST(Cli, RemovedModuloFlagsAreUnknown)
 {
-    EXPECT_EQ(run_cli("--mii-cap 0 jacobi"), 2);
-    EXPECT_EQ(run_cli("--mii-cap -5 jacobi"), 2);
-    EXPECT_EQ(run_cli("--mii-cap 65537 jacobi"), 2);
-    EXPECT_EQ(run_cli("--mii-cap nope jacobi"), 2);
-    // Missing value at end of line.
+    EXPECT_EQ(run_cli("--modulo --tiles 4 --no-run jacobi"), 2);
+    EXPECT_EQ(run_cli("--mii-cap 64 --tiles 4 --no-run jacobi"), 2);
     EXPECT_EQ(run_cli("jacobi --mii-cap"), 2);
-}
-
-TEST(Cli, ModuloKnobsRoundTrip)
-{
-    // In-range values parse and compile cleanly.
-    EXPECT_EQ(run_cli("--modulo --mii-cap 64 --tiles 4 --no-run jacobi"),
-              0);
-    EXPECT_EQ(run_cli("--mii-cap 1 --tiles 4 --no-run jacobi"), 0);
+    for (const char *flag : {"--modulo", "--mii-cap"}) {
+        std::string err;
+        EXPECT_EQ(run_cli_capture(std::string(flag) + " 8 jacobi", true,
+                                  err),
+                  2);
+        EXPECT_NE(err.find("unknown flag '" + std::string(flag) + "'"),
+                  std::string::npos)
+            << err;
+    }
 }
 
 // rawcc has no --oracle-budget: with or without a value it is an

@@ -47,6 +47,26 @@ for (j = 0; j < 64; j = j + 1) {
 print(t);
 )";
 
+// For each j > 3 the peeled i = 0, 1 copies of the guard fold their
+// body away and branch to one join block, while the i = 2, 3 copies
+// are the same block branching two ways; the degenerate copies come
+// first in block order.
+const char *kProgCoincidingTargets = R"(
+int B[4];
+int i; int j; int n; int s;
+B[0] = 8;
+n = B[0];
+s = 0;
+for (j = 0; j < n; j = j + 1) {
+  for (i = 0; i < 4; i = i + 1) {
+    if (j > 3) {
+      if (i > 1) { s = s + 1; }
+    }
+  }
+}
+print(s);
+)";
+
 CompileOutput
 compile_with(const char *src, CompilerOptions opts)
 {
@@ -83,6 +103,25 @@ TEST(SchedCache, AlphaEquivalentSourcesShareEntries)
     EXPECT_EQ(b.program.tiles.size(), a.program.tiles.size());
 }
 
+// Cached streams store branch targets as terminator slots, and a
+// branch whose two targets coincide stores both as one slot.  Its
+// streams must never serve an otherwise identical two-way branch:
+// that hit sent the taken edge to the fall-through block, and the
+// program printed 0 instead of 8.
+TEST(SchedCache, CoincidingBranchTargetsNeverServeTwoWayBranches)
+{
+    CompilerOptions off;
+    off.orch.use_cache = false;
+    CompileOutput want = compile_with(kProgCoincidingTargets, off);
+
+    SchedCache::instance().clear_memory();
+    CompilerOptions on;
+    CompileOutput got = compile_with(kProgCoincidingTargets, on);
+    EXPECT_EQ(disasm_program(got.program), disasm_program(want.program));
+    SimResult r = Simulator(got.program).run();
+    EXPECT_EQ(r.print_text(), "8\n");
+}
+
 TEST(SchedCache, SchedOptionChangeMissesScheduleOnly)
 {
     SchedCache::instance().clear_memory();
@@ -99,11 +138,11 @@ TEST(SchedCache, SchedOptionChangeMissesScheduleOnly)
     EXPECT_GT(c.stats.cache.sched_misses, 0);
 }
 
-// The modulo-scheduling knobs are schedule-stage inputs: every one
-// of them must churn the schedule key (a cached greedy schedule must
-// never satisfy a --modulo compile or vice versa), and none of them
-// may touch the partition key.
-TEST(SchedCache, ModuloKnobsChangeScheduleKey)
+// Every scheduler knob is a schedule-stage input: each SchedOptions
+// field must churn the schedule key on its own (a schedule cached
+// under one setting must never satisfy a compile under another), and
+// no two single-field changes may collide.
+TEST(SchedCache, EverySchedOptionChangesScheduleKey)
 {
     BlockKey pk;
     pk.h1 = 0x1234567890abcdefULL;
@@ -114,43 +153,32 @@ TEST(SchedCache, ModuloKnobsChangeScheduleKey)
         return std::make_pair(k.h1, k.h2);
     };
 
-    SchedOptions base;
-    auto base_key = key(base);
+    const SchedOptions base;
+    const auto base_key = key(base);
     EXPECT_EQ(key(base), base_key) << "key must be deterministic";
 
-    SchedOptions m = base;
-    m.modulo = !m.modulo;
-    EXPECT_NE(key(m), base_key) << "--modulo must churn the key";
+    std::vector<std::pair<const char *, SchedOptions>> variants;
+    auto vary = [&](const char *name, auto mutate) {
+        SchedOptions so = base;
+        mutate(so);
+        variants.emplace_back(name, so);
+    };
+    vary("level_weight", [](SchedOptions &so) { so.level_weight++; });
+    vary("fertility_weight",
+         [](SchedOptions &so) { so.fertility_weight++; });
+    vary("fifo_priority",
+         [](SchedOptions &so) { so.fifo_priority = !so.fifo_priority; });
+    vary("sched_iters", [](SchedOptions &so) { so.sched_iters++; });
+    vary("route_select",
+         [](SchedOptions &so) { so.route_select = !so.route_select; });
 
-    SchedOptions c = base;
-    c.mii_cap = base.mii_cap * 2;
-    EXPECT_NE(key(c), base_key) << "--mii-cap must churn the key";
-
-    // The base and the two knobs give three distinct keys.
-    std::set<std::pair<uint64_t, uint64_t>> keys = {base_key, key(m),
-                                                    key(c)};
-    EXPECT_EQ(keys.size(), 3u);
-}
-
-TEST(SchedCache, ModuloChangeMissesScheduleOnly)
-{
-    SchedCache::instance().clear_memory();
-    CompilerOptions opts;
-    compile_with(kProg, opts);
-
-    CompilerOptions changed = opts;
-    changed.orch.sched.modulo = true;
-    CompileOutput c = compile_with(kProg, changed);
-    // Partitions are schedule-agnostic; the schedule tier must be
-    // recomputed under pipelining.
-    EXPECT_EQ(c.stats.cache.part_misses, 0);
-    EXPECT_GT(c.stats.cache.sched_misses, 0);
-
-    // And the pipelined entries hit on a warm recompile.
-    CompileOutput warm = compile_with(kProg, changed);
-    EXPECT_EQ(warm.stats.cache.sched_misses, 0);
-    EXPECT_EQ(disasm_program(warm.program),
-              disasm_program(c.program));
+    std::set<std::pair<uint64_t, uint64_t>> keys = {base_key};
+    for (const auto &[name, so] : variants) {
+        EXPECT_NE(key(so), base_key) << name << " must churn the key";
+        keys.insert(key(so));
+    }
+    EXPECT_EQ(keys.size(), variants.size() + 1)
+        << "two single-field changes collide";
 }
 
 TEST(SchedCache, PartitionOptionChangeMisses)
@@ -254,10 +282,7 @@ TEST(SchedCache, FingerprintTracksEffectiveOptions)
     b.smart_homes = true;
     EXPECT_NE(options_fingerprint(a), options_fingerprint(b));
     b = a;
-    b.orch.sched.modulo = true;
-    EXPECT_NE(options_fingerprint(a), options_fingerprint(b));
-    b = a;
-    b.orch.sched.mii_cap *= 2;
+    b.orch.sched.route_select = true;
     EXPECT_NE(options_fingerprint(a), options_fingerprint(b));
 }
 

@@ -19,7 +19,8 @@
  *       cycle-delta table (old -> new per golden) so an intentional
  *       semantic change documents exactly what moved.
  *
- * The committed files under tests/goldens/ were generated from the
+ * The points are raw::golden_points() (harness/harness.hpp).  The
+ * committed files under tests/goldens/ were generated from the
  * pre-optimization (PR 1) simulator; the *_sched points record the
  * schedule-quality optimizer (--sched-iters 3 --route-select).
  * Regenerate only when semantics intentionally change, never for
@@ -35,69 +36,6 @@
 #include "sim/profile.hpp"
 
 namespace {
-
-struct GoldenPoint
-{
-    const char *bench;
-    int tiles;
-    raw::FaultConfig faults;
-    /** Schedule-quality optimizer on (--sched-iters 3 --route-select). */
-    bool sched_opt = false;
-    /** Cross-tile modulo scheduling on (--modulo). */
-    bool modulo = false;
-};
-
-const GoldenPoint kPoints[] = {
-    {"life", 1, {}},      {"life", 4, {}},      {"life", 16, {}},
-    {"cholesky", 1, {}},  {"cholesky", 4, {}},  {"cholesky", 16, {}},
-    {"mxm", 1, {}},       {"mxm", 4, {}},       {"mxm", 16, {}},
-    {"jacobi", 1, {}},    {"jacobi", 4, {}},    {"jacobi", 16, {}},
-    // One fault-injected point so the quiescence fast-forward is
-    // pinned under random extra memory latency too.
-    {"jacobi", 4, {0.01, 20, 42}},
-    // All four fault channels at once (miss + route stalls + dyn
-    // delay + jitter), pinning the multi-channel RNG streams.
-    {"jacobi", 4, {0.02, 9, 7, 0.05, 3, 0.05, 6, 0.02}},
-    // Schedule-quality optimizer points: best-of-N rescheduling plus
-    // contention-aware route selection must stay deterministic too.
-    {"life", 16, {}, true},
-    {"cholesky", 16, {}, true},
-    {"mxm", 16, {}, true},
-    {"jacobi", 16, {}, true},
-    // Modulo-scheduling points: software-pipelined loop blocks must
-    // stay deterministic and checker-clean too.
-    {"life", 16, {}, false, true},
-    {"jacobi", 16, {}, false, true},
-    {"mxm", 16, {}, false, true},
-};
-
-std::string
-point_filename(const GoldenPoint &p)
-{
-    std::string name = std::string(p.bench) + "_n" +
-                       std::to_string(p.tiles);
-    if (p.sched_opt)
-        name += "_sched";
-    if (p.modulo)
-        name += "_mod";
-    if (p.faults.multi_channel())
-        name += "_mfault";
-    else if (p.faults.miss_rate > 0)
-        name += "_fault";
-    return name + ".golden";
-}
-
-raw::CompilerOptions
-point_options(const GoldenPoint &p)
-{
-    raw::CompilerOptions opts;
-    if (p.sched_opt) {
-        opts.orch.sched.sched_iters = 3;
-        opts.orch.sched.route_select = true;
-    }
-    opts.orch.sched.modulo = p.modulo;
-    return opts;
-}
 
 /** Cycle count recorded in an existing golden file, or -1. */
 long long
@@ -153,9 +91,10 @@ main(int argc, char **argv)
     if (update)
         std::printf("%-26s %12s %12s %8s\n", "golden", "old", "new",
                     "delta");
-    for (const GoldenPoint &p : kPoints) {
+    for (const raw::GoldenPoint &p : raw::golden_points()) {
         const raw::BenchmarkProgram &prog = raw::benchmark(p.bench);
-        raw::CompilerOptions opts = point_options(p);
+        const std::string file = p.name() + ".golden";
+        raw::CompilerOptions opts = p.options();
         raw::RunResult r =
             raw::run_rawcc(prog.source,
                            raw::MachineConfig::base(p.tiles),
@@ -176,12 +115,12 @@ main(int argc, char **argv)
                 std::fprintf(stderr,
                              "%s: %zu self-check failures, not "
                              "recording\n",
-                             point_filename(p).c_str(),
+                             file.c_str(),
                              checked.sim.check_failures.size());
                 return 1;
             }
         }
-        std::string path = dir + "/" + point_filename(p);
+        std::string path = dir + "/" + file;
         long long old_cycles = update ? recorded_cycles(path) : -1;
         std::ofstream out(path);
         if (!out) {
@@ -193,11 +132,11 @@ main(int argc, char **argv)
             long long nw = static_cast<long long>(s.cycles);
             if (old_cycles < 0)
                 std::printf("%-26s %12s %12lld %8s\n",
-                            point_filename(p).c_str(), "(new)", nw,
+                            file.c_str(), "(new)", nw,
                             "-");
             else
                 std::printf("%-26s %12lld %12lld %+8lld\n",
-                            point_filename(p).c_str(), old_cycles, nw,
+                            file.c_str(), old_cycles, nw,
                             nw - old_cycles);
         } else {
             std::printf("wrote %s (cycles %lld)\n", path.c_str(),

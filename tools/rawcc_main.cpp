@@ -40,9 +40,6 @@
  *   --no-port-fold     keep explicit send/receive instructions
  *   --sched-iters N    slack-driven rescheduling passes (default 0)
  *   --route-select     contention-aware XY/YX route selection
- *   --modulo           software-pipeline loop blocks (cross-tile
- *                      modulo scheduling; greedy stays the fallback)
- *   --mii-cap N        initiation-interval search cap (default 512)
  *   --sim-backend B    execution core: reference | threaded | region
  *   --sim-diff         run both backends, require identical results
  *   --pgo              profile-guided placement (compile, simulate,
@@ -84,7 +81,6 @@ const char kUsage[] =
     "  --point-timeout MS --jobs N\n"
     "  --no-sched-cache --no-unroll --no-replication --no-port-fold\n"
     "  --sched-iters N --route-select --pgo\n"
-    "  --modulo --mii-cap N\n"
     "  --sim-backend reference|threaded|region --sim-diff\n"
     "  --list-benchmarks --help\n";
 
@@ -247,12 +243,6 @@ main(int argc, char **argv)
                 "--sched-iters", 0, 16, "a pass count in 0..16");
         else if (args.is("--route-select"))
             opts.orch.sched.route_select = true;
-        else if (args.is("--modulo"))
-            opts.orch.sched.modulo = true;
-        else if (args.is("--mii-cap"))
-            opts.orch.sched.mii_cap =
-                parse_int_in("--mii-cap", 1, 65536,
-                             "an initiation-interval cap in 1..65536");
         else if (args.is("--sim-backend")) {
             std::string b = args.value();
             if (b == "reference")
@@ -349,23 +339,6 @@ main(int argc, char **argv)
                         static_cast<long long>(out.stats.spill_ops));
             std::printf("folded port ops:     %d\n",
                         out.stats.folded_port_ops);
-            if (!out.stats.block_pipeline.empty()) {
-                int piped = 0;
-                for (const auto &p : out.stats.block_pipeline)
-                    piped += p.pipelined ? 1 : 0;
-                std::printf("loop blocks piped:   %d of %zu\n", piped,
-                            out.stats.block_pipeline.size());
-                for (const auto &p : out.stats.block_pipeline)
-                    std::printf(
-                        "  block %-4d loop %-3d ii %-5lld mii %-5lld "
-                        "(res %lld rec %lld flat %lld)%s\n",
-                        p.block, p.src_loop, static_cast<long long>(p.ii),
-                        static_cast<long long>(p.mii),
-                        static_cast<long long>(p.res_mii),
-                        static_cast<long long>(p.rec_mii),
-                        static_cast<long long>(p.flat_mii),
-                        p.pipelined ? " [pipelined]" : "");
-            }
             print_compile_timing(out.stats);
         }
         if (!do_run)
